@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Any, Iterable, Literal
 
-from .numtheory import factorize, integer_sqrt, is_probable_prime
+from .numtheory import Factorization, factorize, integer_sqrt, is_probable_prime
 from .period_oracle import PeriodRecord, carmichael_exponent, multiplicative_order
 from .strategies import FactorOutcome, all_z, dong2023, traditional_shor
 
@@ -64,6 +64,11 @@ def case_seed(master_seed: int, case_id: int) -> int:
     return mix64((master_seed + (case_id + 1) * GOLDEN) & MASK64)
 
 
+def _draw_limit(bound: int) -> int:
+    """Raw draws at or above this are rejected, so draw % bound is unbiased."""
+    return (MASK64 + 1) - (MASK64 + 1) % bound
+
+
 class RandomStream:
     """Deterministic uniform integer stream over splitmix64.
 
@@ -84,7 +89,7 @@ class RandomStream:
         """Uniform integer in [0, bound)."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        limit = (MASK64 + 1) - (MASK64 + 1) % bound
+        limit = _draw_limit(bound)
         while True:
             v = self.next_raw()
             if v < limit:
@@ -214,11 +219,24 @@ def random_prime(digit_count: int, rng: RandomStream) -> int:
     if digit_count < 1:
         raise ValueError("digit count must be >= 1")
     lo = 10 ** (digit_count - 1)
-    hi = 10**digit_count - 1
-    for _ in range(_SAMPLING_CAP):
-        v = rng.randint(lo, hi)
-        if is_probable_prime(v):
-            return v
+    span = 10**digit_count - lo
+    # rng.randint(lo, lo + span - 1) per candidate, inlined on a local copy
+    # of the stream state: the same draws, the same rejections and the same
+    # final state, without four calls per draw.
+    limit = _draw_limit(span)
+    state = rng._state
+    try:
+        for _ in range(_SAMPLING_CAP):
+            state = (state + GOLDEN) & MASK64
+            x = mix64(state)
+            while x >= limit:
+                state = (state + GOLDEN) & MASK64
+                x = mix64(state)
+            v = lo + x % span
+            if is_probable_prime(v):
+                return v
+    finally:
+        rng._state = state
     raise RuntimeError(f"no {digit_count}-digit prime found within the draw budget")
 
 
@@ -233,10 +251,11 @@ def sample_semiprime(digits: int, rng: RandomStream) -> Semiprime:
     if digits < 2:
         raise ValueError("digits must be >= 2")
     prime_digits = (digits + 1) // 2
+    lo, hi = 10 ** (digits - 1), 10**digits
     for _ in range(_SAMPLING_CAP):
         p = random_prime(prime_digits, rng)
         q = random_prime(prime_digits, rng)
-        if p != q and _digit_count(p * q) == digits:
+        if p != q and lo <= p * q < hi:
             return Semiprime(n=p * q, p=p, q=q)
     raise RuntimeError(f"no {digits}-digit semiprime found within the draw budget")
 
@@ -272,11 +291,18 @@ def _run_strategy(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def run_trial(case: TrialCase, strategy: StrategyName, bound: int | None = None) -> TrialRecord:
+def run_trial(
+    case: TrialCase,
+    strategy: StrategyName,
+    bound: int | None = None,
+    exponent_hint: Factorization | None = None,
+) -> TrialRecord:
     """Run one strategy attempt and fill every diagnostic field.
 
-    Deterministic function of the case. Precondition violations come back
-    as a poisoned record carrying the error message.
+    Deterministic function of the case. `exponent_hint` is the factored
+    Carmichael exponent of the case's modulus when the caller already has
+    it; otherwise it is computed here when needed. Precondition violations
+    come back as a poisoned record carrying the error message.
     """
     sp = case.semiprime
     n, a = sp.n, case.a
@@ -296,8 +322,9 @@ def run_trial(case: TrialCase, strategy: StrategyName, bound: int | None = None)
         if math.gcd(a, n) > 1:
             period = None
         else:
-            hint = factorize(carmichael_exponent(sp.p, sp.q))
-            period = multiplicative_order(a, n, exponent_hint=hint)
+            if exponent_hint is None:
+                exponent_hint = factorize(carmichael_exponent(sp.p, sp.q))
+            period = multiplicative_order(a, n, exponent_hint=exponent_hint)
         outcome = _run_strategy(strategy, n, a, period, bound)
     except ValueError as exc:
         return TrialRecord(
@@ -523,7 +550,11 @@ def _build_case(config: CampaignConfig, case_id: int) -> TrialCase:
 
 def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
     case = _build_case(config, case_id)
-    record = run_trial(case, config.strategy, config.bound)
+    # Every attempt on the case shares its modulus, and so the factored
+    # Carmichael exponent that seeds the order computation.
+    sp = case.semiprime
+    hint = factorize(carmichael_exponent(sp.p, sp.q))
+    record = run_trial(case, config.strategy, config.bound, hint)
     if record.status == "success" or record.error is not None or config.retry_limit == 0:
         return record
     # Retries draw fresh bases for the same modulus from a sub-stream of
@@ -544,7 +575,7 @@ def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
         tried.add(a_next)
         attempts_used += 1
         retry_case = replace(case, a=a_next)
-        retry_record = run_trial(retry_case, config.strategy, config.bound)
+        retry_record = run_trial(retry_case, config.strategy, config.bound, hint)
         if retry_record.status == "success":
             resolved = True
             break

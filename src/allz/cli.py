@@ -33,7 +33,7 @@ from .campaign import (
     sample_base,
 )
 from .fixtures import REFERENCE_FAILURE_CASES
-from .numtheory import is_probable_prime
+from .numtheory import PRIMALITY_LIMIT, is_probable_prime
 from .period_oracle import multiplicative_order
 from .strategies import FactorOutcome, all_z, dong2023, traditional_shor
 
@@ -143,6 +143,12 @@ def _cmd_factor(args: argparse.Namespace) -> int:
     if n < 6:
         print(f"error: {n} is below the smallest supported modulus 6", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    if n >= PRIMALITY_LIMIT:
+        print(f"error: {n} is not below the supported limit 2**64", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    if args.bound is not None and args.bound < 2:
+        print(f"error: bound must be >= 2, got {args.bound}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
     if is_probable_prime(n):
         print(f"error: {n} is prime; nothing to factor", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -177,6 +183,9 @@ def _cmd_order(args: argparse.Namespace) -> int:
     n, a = args.n, args.a
     if n < 2 or not 1 <= a < n:
         print(f"error: need n >= 2 and 1 <= a < n, got n={n}, a={a}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    if n >= PRIMALITY_LIMIT:
+        print(f"error: {n} is not below the supported limit 2**64", file=sys.stderr)
         return EXIT_INVALID_INPUT
     shared = math.gcd(a, n)
     if shared > 1:

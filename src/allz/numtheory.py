@@ -12,22 +12,25 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 
 
-def _sieve(limit: int) -> list[int]:
-    """All primes <= limit by a plain sieve of Eratosthenes."""
-    if limit < 2:
-        return []
+def _sieve(limit: int) -> bytearray:
+    """Sieve of Eratosthenes: entry i is 1 exactly when i <= limit is prime."""
     table = bytearray([1]) * (limit + 1)
     table[0] = table[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if table[i]:
             table[i * i :: i] = bytearray(len(table[i * i :: i]))
-    return [i for i in range(limit + 1) if table[i]]
+    return table
 
 
 _TRIAL_DIVISION_LIMIT = 10_000
-_SMALL_PRIMES: tuple[int, ...] = tuple(_sieve(_TRIAL_DIVISION_LIMIT))
+_PRIME_TABLE = _sieve(_TRIAL_DIVISION_LIMIT)
+_SMALL_PRIMES: tuple[int, ...] = tuple(compress(range(_TRIAL_DIVISION_LIMIT + 1), _PRIME_TABLE))
+
+#: Exclusive upper end of the range is_probable_prime decides.
+PRIMALITY_LIMIT = 1 << 64
 
 # Deterministic Miller-Rabin witness sets with their validity thresholds
 # (standard published bounds; the last row covers everything below 2**64).
@@ -43,7 +46,7 @@ _MR_WITNESS_TABLE: tuple[tuple[int, tuple[int, ...]], ...] = (
     (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
     (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
     (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (1 << 64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
+    (PRIMALITY_LIMIT, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
 
 
@@ -107,16 +110,17 @@ def gcd(x: int, y: int) -> int:
 def is_probable_prime(x: int) -> bool:
     """Deterministic primality test, correct for every x below 2**64.
 
-    Uses Miller-Rabin with fixed witness sets chosen by input size (see
-    the table above); despite the traditional name there is nothing
+    Below 10**4 the answer is a lookup in the trial-division sieve; above
+    it, Miller-Rabin with fixed witness sets chosen by input size (see the
+    table above). Despite the traditional name there is nothing
     probabilistic in this range.
     """
-    if x < 2:
-        return False
+    if x < _TRIAL_DIVISION_LIMIT:
+        return x >= 2 and _PRIME_TABLE[x] == 1
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if x % p == 0:
-            return x == p
-    if x >= 1 << 64:
+            return False
+    if x >= PRIMALITY_LIMIT:
         raise ValueError("deterministic witnesses only cover x < 2**64")
     d = x - 1
     s = 0
@@ -232,17 +236,33 @@ def factorize(x: int) -> Factorization:
 def _primes_up_to(limit: int) -> tuple[int, ...]:
     if limit <= _TRIAL_DIVISION_LIMIT:
         return _SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, limit)]
-    return tuple(_sieve(limit))
+    return tuple(compress(range(limit + 1), _sieve(limit)))
 
 
 def distinct_primes_bounded(x: int, bound: int) -> list[int]:
     """All distinct primes p <= bound dividing x, by trial division alone.
 
-    The cofactor is never factored, so this stays cheap even when x has
-    huge prime factors beyond the bound.
+    Each prime found is divided out, and the walk stops once p*p exceeds
+    what is left: that remainder is then 1 or a prime, reported when it is
+    within the bound. The cofactor is never factored, so this stays cheap
+    even when x has huge prime factors beyond the bound.
     """
     if x < 1:
         raise ValueError(f"argument must be >= 1, got {x}")
     if bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    return [p for p in _primes_up_to(min(bound, x)) if x % p == 0]
+    out = []
+    rem = x
+    for p in _primes_up_to(min(bound, x)):
+        if p * p > rem:
+            break
+        if rem % p == 0:
+            out.append(p)
+            rem //= p
+            while rem % p == 0:
+                rem //= p
+    # Without the break every prime <= min(bound, x) was divided out, so
+    # rem is then 1 or has only prime factors beyond the bound.
+    if 1 < rem <= bound:
+        out.append(rem)
+    return out

@@ -21,43 +21,20 @@ BRUTE_FORCE_LIMIT = 10**6
 
 @dataclass(frozen=True)
 class PeriodRecord:
-    """The multiplicative order r plus knowledge of its prime divisors.
-
-    Exactly one of `factors` (complete factorization of r) or
-    `bounded_primes` (ascending primes <= `bound` dividing r, found by
-    bounded trial division) is present.
-    """
+    """The multiplicative order r together with its complete factorization."""
 
     order: int
-    factors: Factorization | None = None
-    bounded_primes: tuple[int, ...] | None = None
-    bound: int | None = None
+    factors: Factorization
 
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if (self.factors is None) == (self.bounded_primes is None):
-            raise ValueError("exactly one of factors / bounded_primes is required")
-        if self.bounded_primes is not None:
-            if self.bound is None:
-                raise ValueError("bounded_primes requires the bound that produced it")
-            if list(self.bounded_primes) != sorted(set(self.bounded_primes)):
-                raise ValueError("bounded_primes must be strictly ascending")
-            for p in self.bounded_primes:
-                if p > self.bound or self.order % p:
-                    raise ValueError(f"{p} is not a divisor of the order within bound")
-        elif self.factors is not None and self.factors.value != self.order:
+        if self.factors.value != self.order:
             raise ValueError("factorization does not reconstruct the order")
 
-    @property
-    def bounded(self) -> bool:
-        return self.factors is None
-
     def distinct_primes(self) -> tuple[int, ...]:
-        """Known distinct prime divisors of the order, ascending."""
-        if self.factors is not None:
-            return self.factors.distinct_primes
-        return self.bounded_primes  # type: ignore[return-value]
+        """Distinct prime divisors of the order, ascending."""
+        return self.factors.distinct_primes
 
 
 def carmichael_exponent(p: int, q: int) -> int:

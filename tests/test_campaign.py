@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from allz.campaign import (
     BOUND_CLASSES,
+    GOLDEN,
+    MASK64,
     CampaignConfig,
     CampaignStats,
     RandomStream,
@@ -77,6 +79,24 @@ class TestSamplers:
     def test_random_prime_replays_with_seed(self):
         assert random_prime(4, RandomStream(99)) == random_prime(4, RandomStream(99))
 
+    @pytest.mark.parametrize("digits", range(1, 7))
+    def test_random_prime_matches_randint_loop(self, digits):
+        for seed in range(40):
+            fast, ref = RandomStream(seed), RandomStream(seed)
+            for _ in range(5):
+                assert random_prime(digits, fast) == randint_loop_prime(digits, ref)
+                assert fast._state == ref._state
+
+    @pytest.mark.parametrize("digits", [1, 2, 5])
+    def test_random_prime_rejects_draws_like_randint(self, digits):
+        # Start the stream just before the draw 2**64 - 1, which is above
+        # every rejection limit for a span that does not divide 2**64.
+        seed = (unmix64(MASK64) - GOLDEN) & MASK64
+        fast, ref = RandomStream(seed), RandomStream(seed)
+        assert RandomStream(seed).next_raw() == MASK64
+        assert random_prime(digits, fast) == randint_loop_prime(digits, ref)
+        assert fast._state == ref._state
+
     def test_semiprime_classes(self):
         rng = RandomStream(13)
         for digits in (2, 3, 5, 7, 8):
@@ -115,6 +135,30 @@ class TestSamplers:
             sample_base(4, "random", rng)
         with pytest.raises(ValueError):
             sample_base(21, "bogus", rng)
+
+
+def randint_loop_prime(digit_count, rng):
+    """random_prime's reference: one rng.randint draw per candidate."""
+    lo, hi = 10 ** (digit_count - 1), 10**digit_count - 1
+    while True:
+        v = rng.randint(lo, hi)
+        if is_probable_prime(v):
+            return v
+
+
+def unmix64(y):
+    """Inverse of mix64: undo each xor-shift and multiply in reverse order."""
+    y ^= y >> 31 ^ y >> 62
+    y = y * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64
+    y ^= y >> 27 ^ y >> 54
+    y = y * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64
+    y ^= y >> 30 ^ y >> 60
+    return y
+
+
+def test_unmix64_inverts_mix64():
+    for y in (0, 1, 12345, GOLDEN, MASK64):
+        assert mix64(unmix64(y)) == y
 
 
 def make_case(n, p, q, a, case_id=0, mode="random", seed=1234):

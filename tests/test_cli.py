@@ -2,11 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import allz
 from allz.campaign import CampaignConfig, TrialRecord, compute_metrics, run_campaign
 from allz.cli import main, record_json_line
+
+SRC_DIR = os.path.dirname(os.path.dirname(allz.__file__))
 
 
 def run_cli(capsys, *argv):
@@ -73,6 +79,35 @@ class TestFactorCommand:
         )
         assert code == 1
         assert json.loads(out)["attempts"] == []
+
+
+class TestInputBoundary:
+    """Inputs the number theory cannot take end in one error line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["factor", "21", "--bound", "1"],
+            ["factor", "21", "--base", "2", "--bound", "0"],
+            ["factor", str(1 << 64)],
+            ["factor", str((1 << 64) + 1), "--base", "2"],
+            ["order", str(1 << 64), "3"],
+            ["order", str(3**41), "2"],
+        ],
+    )
+    def test_rejected_without_traceback(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "allz.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestOrderCommand:

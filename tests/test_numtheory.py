@@ -1,5 +1,6 @@
 """Unit and property tests for the integer arithmetic primitives."""
 
+import functools
 import math
 import random
 
@@ -18,6 +19,31 @@ from allz.numtheory import (
     mod_pow,
     perfect_square_root,
 )
+
+
+def miller_rabin(x):
+    """Textbook Miller-Rabin on the first 12 prime witnesses (exact below 3*10**24)."""
+    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if x < 2:
+        return False
+    if x in witnesses:
+        return True
+    if any(x % p == 0 for p in witnesses):
+        return False
+    d, s = x - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in witnesses:
+        t = pow(a, d, x)
+        if t in (1, x - 1):
+            continue
+        for _ in range(s - 1):
+            t = t * t % x
+            if t == x - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def naive_sieve(limit):
@@ -104,6 +130,12 @@ class TestIsProbablePrime:
     def test_rejects_values_beyond_witness_range(self):
         with pytest.raises(ValueError):
             is_probable_prime((1 << 64) + 1)
+
+    def test_table_answers_match_miller_rabin(self):
+        for x in list(range(10_000)) + [9999, 10_000, 10_007]:
+            assert is_probable_prime(x) == miller_rabin(x), x
+        assert not is_probable_prime(9999) and not is_probable_prime(10_000)
+        assert is_probable_prime(10_007)
 
 
 class TestIntegerSqrt:
@@ -201,6 +233,45 @@ class TestDistinctPrimesBounded:
         for x in range(1, 10_000):
             expected = [p for p in factorize(x).distinct_primes if p <= bound]
             assert distinct_primes_bounded(x, bound) == expected
+
+
+    @pytest.mark.parametrize(
+        "x, bound",
+        [
+            (1, 2),
+            (1, 10**5),
+            (2**40, 2),
+            (3**25, 10),
+            (9973**3, 10_000),
+            (10_007**2, 10**5),
+            (2 * 3 * 5 * 7 * 9973, 9972),
+            (9973, 10_000),
+            (9973, 9973),
+            (10_007, 100),
+            (10_007, 10_006),
+            (360, 1000),
+            (99_991, 10**5),
+            (2 * 99_991, 99_990),
+        ],
+    )
+    def test_matches_plain_trial_division_edges(self, x, bound):
+        assert distinct_primes_bounded(x, bound) == plain_trial_division(x, bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=2, max_value=10**5))
+    def test_matches_plain_trial_division(self, x, bound):
+        assert distinct_primes_bounded(x, bound) == plain_trial_division(x, bound)
+
+
+@functools.cache
+def primes_to_100k():
+    flags = naive_sieve(10**5)
+    return [i for i in range(10**5 + 1) if flags[i]]
+
+
+def plain_trial_division(x, bound):
+    """Every prime p <= min(bound, x) dividing x, each tested."""
+    return [p for p in primes_to_100k() if p <= min(bound, x) and x % p == 0]
 
 
 def test_small_prime_table_is_complete():

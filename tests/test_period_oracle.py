@@ -80,7 +80,6 @@ class TestMultiplicativeOrder:
     def test_returns_complete_factorization(self):
         record = multiplicative_order(1316667, 2540107)
         assert record.factors.as_dict() == {3: 3}
-        assert not record.bounded
 
     def test_minimality_certificate(self):
         for a, n in [(2, 15), (36, 1406371), (25036489, 53948449), (7, 9995 * 2 + 1)]:
@@ -149,26 +148,6 @@ class TestMultiplicativeOrder:
 
 
 class TestPeriodRecord:
-    def test_requires_exactly_one_divisor_view(self):
-        with pytest.raises(ValueError):
-            PeriodRecord(order=6)
-        with pytest.raises(ValueError):
-            PeriodRecord(
-                order=6,
-                factors=Factorization(((2, 1), (3, 1))),
-                bounded_primes=(2,),
-                bound=10,
-            )
-
-    def test_bounded_record_checks_divisibility(self):
-        record = PeriodRecord(order=12, bounded_primes=(2, 3), bound=10)
-        assert record.bounded
-        assert record.distinct_primes() == (2, 3)
-        with pytest.raises(ValueError):
-            PeriodRecord(order=12, bounded_primes=(5,), bound=10)
-        with pytest.raises(ValueError):
-            PeriodRecord(order=12, bounded_primes=(2,), bound=None)
-
     def test_complete_record_checks_reconstruction(self):
         with pytest.raises(ValueError):
             PeriodRecord(order=6, factors=Factorization(((2, 2),)))
