@@ -32,10 +32,7 @@ from .numtheory import (
     Factorization,
     distinct_primes_bounded,
     factorize,
-    gcd,
-    integer_sqrt,
     is_probable_prime,
-    mod_pow,
     perfect_square_root,
 )
 from .period_oracle import (
@@ -80,12 +77,9 @@ __all__ = [
     "factorize",
     "failure_reason",
     "fallback_square",
-    "gcd",
-    "integer_sqrt",
     "is_probable_prime",
     "merge_stats",
     "mix64",
-    "mod_pow",
     "multiplicative_order",
     "order_brute_force",
     "perfect_square_root",

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Any, Iterable, Literal
 
-from .numtheory import Factorization, factorize, integer_sqrt, is_probable_prime
+from .numtheory import Factorization, factorize, is_probable_prime
 from .period_oracle import PeriodRecord, carmichael_exponent, multiplicative_order
 from .strategies import FactorOutcome, all_z, dong2023, traditional_shor
 
@@ -169,12 +169,26 @@ class TrialRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "TrialRecord":
-        values = {name: data[name] for name in _RECORD_FIELDS}
-        values["failed_z"] = tuple(values["failed_z"])
+        """Decode one JSON object; KeyError or TypeError if a field is missing or mistyped."""
+        values = {}
+        for name, types in _RECORD_TYPES.items():
+            values[name] = value = data[name]
+            if type(value) not in types:
+                raise TypeError(f"record field {name!r} cannot be {type(value).__name__}")
+        failed_z = values["failed_z"] = tuple(values["failed_z"])
+        for z in failed_z:
+            if type(z) is not int:
+                raise TypeError(f"record field 'failed_z' cannot hold {type(z).__name__}")
         return cls(**values)
 
 
 _RECORD_FIELDS = tuple(TrialRecord.__dataclass_fields__)
+# The JSON value types each record field accepts, read off its annotation
+# and matched exactly, so a bool is no int. A tuple travels as a list.
+_JSON_TYPES = {"int": int, "str": str, "bool": bool, "None": type(None), "tuple[int, ...]": list}
+_RECORD_TYPES = {
+    f.name: tuple(_JSON_TYPES[t] for t in f.type.split(" | ")) for f in fields(TrialRecord)
+}
 
 
 @dataclass(frozen=True)
@@ -270,7 +284,7 @@ def sample_base(n: int, mode: BaseMode, rng: RandomStream) -> int:
             if math.gcd(a, n) == 1:
                 return a
     if mode == "perfect_square":
-        hi = integer_sqrt(n - 1)
+        hi = math.isqrt(n - 1)
         while True:
             b = rng.randint(2, hi)
             a = b * b
@@ -279,9 +293,10 @@ def sample_base(n: int, mode: BaseMode, rng: RandomStream) -> int:
     raise ValueError(f"unknown base mode {mode!r}")
 
 
-def _run_strategy(
+def run_strategy(
     strategy: StrategyName, n: int, a: int, period: PeriodRecord | None, bound: int | None
 ) -> FactorOutcome:
+    """Run the named strategy; the bound only restricts all_z."""
     if strategy == "allz":
         return all_z(n, a, period, bound)
     if strategy == "traditional":
@@ -325,7 +340,7 @@ def run_trial(
             if exponent_hint is None:
                 exponent_hint = factorize(carmichael_exponent(sp.p, sp.q))
             period = multiplicative_order(a, n, exponent_hint=exponent_hint)
-        outcome = _run_strategy(strategy, n, a, period, bound)
+        outcome = run_strategy(strategy, n, a, period, bound)
     except ValueError as exc:
         return TrialRecord(
             **base,
@@ -355,22 +370,7 @@ def run_trial(
     else:
         r, r_digits, r_distinct, r_even, half_minus_one = 0, 0, 0, False, None
 
-    succeeded_z: int | str | None = None
-    if outcome.witness is not None:
-        if outcome.witness.kind == "divisor":
-            succeeded_z = outcome.witness.divisor_z
-        elif outcome.witness.kind == "fallback":
-            succeeded_z = "fallback"
-        else:
-            succeeded_z = "shortcut"
-    failed_z = tuple(
-        dict.fromkeys(
-            att.divisor_z
-            for att in outcome.attempts
-            if att.kind == "divisor" and att.outcome != "factor_found"
-        )
-    )
-    fallback_tried = any(att.kind == "fallback" for att in outcome.attempts)
+    succeeded_z = outcome.succeeded_z
     success = outcome.status == "success"
     return TrialRecord(
         **base,
@@ -380,8 +380,8 @@ def run_trial(
         r_digits=r_digits,
         r_distinct_primes=r_distinct,
         succeeded_z=succeeded_z,
-        failed_z=failed_z,
-        fallback_tried=fallback_tried,
+        failed_z=outcome.failed_z,
+        fallback_tried=outcome.fallback_tried,
         fallback_succeeded=succeeded_z == "fallback",
         gcd_count=outcome.gcd_count,
         r_even=r_even,
@@ -511,25 +511,11 @@ def _merge_counts(a: dict, b: dict) -> dict:
 
 def merge_stats(s1: CampaignStats, s2: CampaignStats) -> CampaignStats:
     """Field-wise sum; associative and commutative with empty() as identity."""
-    return CampaignStats(
-        trials=s1.trials + s2.trials,
-        successes=s1.successes + s2.successes,
-        failures=s1.failures + s2.failures,
-        failures_by_reason=_merge_counts(s1.failures_by_reason, s2.failures_by_reason),
-        gcd_count_histogram=_merge_counts(s1.gcd_count_histogram, s2.gcd_count_histogram),
-        attempts_per_success_histogram=_merge_counts(
-            s1.attempts_per_success_histogram, s2.attempts_per_success_histogram
-        ),
-        r_count=s1.r_count + s2.r_count,
-        r_digits_sum=s1.r_digits_sum + s2.r_digits_sum,
-        r_distinct_primes_sum=s1.r_distinct_primes_sum + s2.r_distinct_primes_sum,
-        even_r_count=s1.even_r_count + s2.even_r_count,
-        half_power_minus_one_count=s1.half_power_minus_one_count + s2.half_power_minus_one_count,
-        cumulative_success_by_bound=_merge_counts(
-            s1.cumulative_success_by_bound, s2.cumulative_success_by_bound
-        ),
-        fallback_success_count=s1.fallback_success_count + s2.fallback_success_count,
-    )
+    merged = {}
+    for f in fields(CampaignStats):
+        x, y = getattr(s1, f.name), getattr(s2, f.name)
+        merged[f.name] = _merge_counts(x, y) if isinstance(x, dict) else x + y
+    return CampaignStats(**merged)
 
 
 def compute_metrics(records: Iterable[TrialRecord]) -> CampaignStats:

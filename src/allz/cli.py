@@ -16,6 +16,7 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
@@ -30,12 +31,13 @@ from .campaign import (
     case_seed,
     compute_metrics,
     run_campaign,
+    run_strategy,
     sample_base,
 )
 from .fixtures import REFERENCE_FAILURE_CASES
 from .numtheory import PRIMALITY_LIMIT, is_probable_prime
 from .period_oracle import multiplicative_order
-from .strategies import FactorOutcome, all_z, dong2023, traditional_shor
+from .strategies import FactorOutcome, all_z
 
 EXIT_OK = 0
 EXIT_METHOD_FAILURE = 1
@@ -117,25 +119,11 @@ def _strategy_outcome(
     period = None
     if math.gcd(a, n) == 1:
         period = multiplicative_order(a, n)
-    if strategy == "allz":
-        outcome = all_z(n, a, period, bound)
-    elif strategy == "traditional":
-        outcome = traditional_shor(n, a, period)
-    else:
-        outcome = dong2023(n, a, period)
+    outcome = run_strategy(strategy, n, a, period, bound)
     if period is None:
         return outcome, None, None
     factors = {str(p): e for p, e in period.factors}
     return outcome, period.order, factors
-
-
-def _attempt_dict(att) -> dict[str, Any]:
-    return {
-        "kind": att.kind,
-        "divisor_z": att.divisor_z,
-        "gcd_value": att.gcd_value,
-        "outcome": att.outcome,
-    }
 
 
 def _cmd_factor(args: argparse.Namespace) -> int:
@@ -171,8 +159,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         "r_factors": order_factors,
         "factor": outcome.factor,
         "cofactor": n // outcome.factor if outcome.factor else None,
-        "witness": _attempt_dict(outcome.witness) if outcome.witness else None,
-        "attempts": [_attempt_dict(att) for att in outcome.attempts],
+        "witness": asdict(outcome.witness) if outcome.witness else None,
+        "attempts": [asdict(att) for att in outcome.attempts],
         "gcd_count": outcome.gcd_count,
     }
     print(json.dumps(payload))
@@ -200,16 +188,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_CONFIG_KEYS = (
-    "digits",
-    "trials",
-    "base_mode",
-    "strategy",
-    "bound",
-    "master_seed",
-    "workers",
-    "retry_limit",
-)
+_CONFIG_KEYS = tuple(CampaignConfig.__dataclass_fields__)
 
 
 def _load_campaign_config(args: argparse.Namespace) -> CampaignConfig:
@@ -304,7 +283,7 @@ def _load_records(paths: Iterable[str]) -> list[TrialRecord]:
                     raise _MalformedLine(path, lineno)
                 try:
                     records.append(TrialRecord.from_json_dict(json.loads(stripped)))
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except (ValueError, KeyError, TypeError) as exc:
                     raise _MalformedLine(path, lineno) from exc
     return records
 
@@ -339,7 +318,9 @@ def _failure_rows(records: list[TrialRecord]) -> list[TrialRecord]:
     return failures
 
 
-def _json_report(records: list[TrialRecord], stats: CampaignStats) -> dict[str, Any]:
+def _json_report(
+    records: list[TrialRecord], stats: CampaignStats, table: dict[str, Any]
+) -> dict[str, Any]:
     even = stats.even_r_count
     report = {
         "totals": {
@@ -348,7 +329,7 @@ def _json_report(records: list[TrialRecord], stats: CampaignStats) -> dict[str, 
             "failures": stats.failures,
             "success_rate": _fixed6(stats.success_rate),
         },
-        "success_by_digits": _per_digit_table(records),
+        "success_by_digits": table,
         "cumulative_success_by_bound": {
             cls_name: stats.cumulative_success_by_bound.get(cls_name, 0)
             for cls_name in BOUND_CLASSES
@@ -422,7 +403,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 if args.format == "csv":
                     _write_failure_csv(records, handle)
                 else:
-                    json.dump(_json_report(records, stats), handle, indent=2, sort_keys=True)
+                    report = _json_report(records, stats, table)
+                    json.dump(report, handle, indent=2, sort_keys=True)
                     handle.write("\n")
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
@@ -436,27 +418,19 @@ def _cmd_verify_paper() -> int:
     for index, case in enumerate(REFERENCE_FAILURE_CASES, start=1):
         period = multiplicative_order(case.a, case.n)
         outcome = all_z(case.n, case.a, period)
-        failed_primes = tuple(
-            sorted(
-                {
-                    att.divisor_z
-                    for att in outcome.attempts
-                    if att.kind == "divisor" and att.outcome != "factor_found"
-                }
-            )
-        )
-        fallback_tried = any(att.kind == "fallback" for att in outcome.attempts)
         problems = []
         if period.order != case.expected_r:
             problems.append(f"order {period.order} != expected {case.expected_r}")
         if outcome.status != "failure":
             problems.append(f"status {outcome.status} != expected failure")
-        if failed_primes != case.expected_fail_factors:
+        if outcome.failed_z != case.expected_fail_factors:
             problems.append(
-                f"fail factors {failed_primes} != expected {case.expected_fail_factors}"
+                f"fail factors {outcome.failed_z} != expected {case.expected_fail_factors}"
             )
-        if fallback_tried != case.expects_fallback:
-            problems.append(f"fallback_tried {fallback_tried} != {case.expects_fallback}")
+        if outcome.fallback_tried != case.expects_fallback:
+            problems.append(
+                f"fallback_tried {outcome.fallback_tried} != {case.expects_fallback}"
+            )
         label = (
             f"row {index:02d}/{total} digits={case.digits} n={case.n} a={case.a} "
             f"r={case.expected_r} fail={{{', '.join(map(str, case.expected_fail_factors))}}} "

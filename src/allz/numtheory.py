@@ -1,18 +1,16 @@
 """Exact integer arithmetic primitives.
 
-Everything here is deterministic and exact: modular exponentiation, gcd,
-primality (deterministic Miller-Rabin below 2**64), integer square roots,
-and complete factorization of small-to-medium integers (trial division
-plus Brent's cycle-finding variant of the rho method).
+Everything here is deterministic and exact: primality (deterministic
+Miller-Rabin below 2**64), perfect-square roots, and complete and bounded
+factorization of small-to-medium integers (trial division plus Brent's
+cycle-finding variant of the rho method).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, count
 
 
 def _sieve(limit: int) -> bytearray:
@@ -91,22 +89,6 @@ class Factorization:
         return len(self.entries)
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus, exact, in O(log exponent) multiplications."""
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
-    if base < 0 or exponent < 0:
-        raise ValueError("base and exponent must be non-negative")
-    return pow(base, exponent, modulus)
-
-
-def gcd(x: int, y: int) -> int:
-    """Greatest common divisor; gcd(0, y) == y."""
-    if x < 0 or y < 0:
-        raise ValueError("arguments must be non-negative")
-    return math.gcd(x, y)
-
-
 def is_probable_prime(x: int) -> bool:
     """Deterministic primality test, correct for every x below 2**64.
 
@@ -141,13 +123,6 @@ def is_probable_prime(x: int) -> bool:
         else:
             return False
     return True
-
-
-def integer_sqrt(x: int) -> int:
-    """floor(sqrt(x)) for x >= 0."""
-    if x < 0:
-        raise ValueError("argument must be non-negative")
-    return math.isqrt(x)
 
 
 def perfect_square_root(x: int) -> int | None:
@@ -232,20 +207,17 @@ def factorize(x: int) -> Factorization:
     return Factorization(tuple(sorted(out.items())))
 
 
-@lru_cache(maxsize=64)
-def _primes_up_to(limit: int) -> tuple[int, ...]:
-    if limit <= _TRIAL_DIVISION_LIMIT:
-        return _SMALL_PRIMES[: bisect_right(_SMALL_PRIMES, limit)]
-    return tuple(compress(range(limit + 1), _sieve(limit)))
-
-
 def distinct_primes_bounded(x: int, bound: int) -> list[int]:
     """All distinct primes p <= bound dividing x, by trial division alone.
 
-    Each prime found is divided out, and the walk stops once p*p exceeds
-    what is left: that remainder is then 1 or a prime, reported when it is
-    within the bound. The cofactor is never factored, so this stays cheap
-    even when x has huge prime factors beyond the bound.
+    The walk runs over the primes up to 10**4 and then over the odd
+    numbers beyond; an odd d > 10**4 that divides what is left is prime,
+    since every smaller prime has been divided out by then. Each prime
+    found is divided out, and the walk stops at the bound or once d*d
+    exceeds what is left. That remainder is then 1, a prime, or has only
+    prime factors beyond the bound; it is reported when it is within the
+    bound. The cofactor is never factored, so this stays cheap even when
+    x has huge prime factors beyond the bound.
     """
     if x < 1:
         raise ValueError(f"argument must be >= 1, got {x}")
@@ -253,16 +225,14 @@ def distinct_primes_bounded(x: int, bound: int) -> list[int]:
         raise ValueError(f"bound must be >= 2, got {bound}")
     out = []
     rem = x
-    for p in _primes_up_to(min(bound, x)):
-        if p * p > rem:
+    for d in chain(_SMALL_PRIMES, count(_TRIAL_DIVISION_LIMIT + 1, 2)):
+        if d > bound or d * d > rem:
             break
-        if rem % p == 0:
-            out.append(p)
-            rem //= p
-            while rem % p == 0:
-                rem //= p
-    # Without the break every prime <= min(bound, x) was divided out, so
-    # rem is then 1 or has only prime factors beyond the bound.
+        if rem % d == 0:
+            out.append(d)
+            rem //= d
+            while rem % d == 0:
+                rem //= d
     if 1 < rem <= bound:
         out.append(rem)
     return out

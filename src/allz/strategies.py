@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .numtheory import distinct_primes_bounded, mod_pow, perfect_square_root
+from .numtheory import distinct_primes_bounded, perfect_square_root
 from .period_oracle import PeriodRecord
 
 AttemptKind = Literal["gcd_shortcut", "divisor", "fallback"]
@@ -57,6 +57,30 @@ class FactorOutcome:
     attempts: tuple[AttemptResult, ...]
     gcd_count: int
 
+    @property
+    def succeeded_z(self) -> int | str | None:
+        """The witnessing divisor z, "fallback" or "shortcut"; None on failure."""
+        if self.witness is None:
+            return None
+        if self.witness.kind == "divisor":
+            return self.witness.divisor_z
+        return "fallback" if self.witness.kind == "fallback" else "shortcut"
+
+    @property
+    def failed_z(self) -> tuple[int, ...]:
+        """Divisors z whose attempts were trivial, once each, in attempt order."""
+        return tuple(
+            dict.fromkeys(
+                att.divisor_z
+                for att in self.attempts
+                if att.kind == "divisor" and att.outcome != FACTOR_FOUND
+            )
+        )
+
+    @property
+    def fallback_tried(self) -> bool:
+        return any(att.kind == "fallback" for att in self.attempts)
+
 
 def _classify(kind: AttemptKind, z: int | None, g: int, n: int) -> AttemptResult:
     if g == n:
@@ -69,7 +93,7 @@ def _classify(kind: AttemptKind, z: int | None, g: int, n: int) -> AttemptResult
 
 
 def _power_minus_one_gcd(n: int, base: int, exponent: int) -> int:
-    t = mod_pow(base, exponent, n)
+    t = pow(base, exponent, n)
     return math.gcd((t + n - 1) % n, n)
 
 
@@ -181,7 +205,7 @@ def traditional_shor(n: int, a: int, period: PeriodRecord | None) -> FactorOutco
     r = _require_period(period).order
     if r % 2:
         return _failure([], 1)
-    t = mod_pow(a, r // 2, n)
+    t = pow(a, r // 2, n)
     if t == n - 1:
         return _failure([], 1)
     attempts: list[AttemptResult] = []

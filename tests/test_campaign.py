@@ -217,6 +217,8 @@ class TestRunTrial:
         assert record.failed_z == ()  # 3 is beyond the bound
         assert record.r_distinct_primes == 1  # from the complete factorization of 27
         assert record.status == "failure"
+        # no divisor tried and no fallback: only the allz branch names the reason
+        assert failure_reason(record) == "all_divisors_trivial"
 
 
 class TestCampaign:

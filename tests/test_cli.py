@@ -268,13 +268,23 @@ class TestReportCommand:
         assert keys == sorted(keys)
 
     def test_malformed_line_reports_position(self, capsys, tmp_path, sample_records):
-        src = tmp_path / "broken.jsonl"
-        lines = [record_json_line(r) for r in sample_records[:3]]
-        lines.insert(2, "{not json")
-        src.write_text("\n".join(lines) + "\n")
-        code, _, err = run_cli(capsys, "report", "--in", str(src))
-        assert code == 2
-        assert f"{src}:3" in err
+        good = sample_records[2].to_json_dict()
+        for bad in (
+            "{not json",
+            "[1]",
+            '{"n": ' + "9" * 5000 + "}",  # beyond the int conversion limit
+            json.dumps({**good, "gcd_count": "x"}),
+            json.dumps({**good, "n": True}),  # a bool is not an int
+            json.dumps({**good, "failed_z": ["3"]}),
+            json.dumps({**good, "succeeded_z": 1.5}),
+        ):
+            src = tmp_path / "broken.jsonl"
+            lines = [record_json_line(r) for r in sample_records[:3]]
+            lines.insert(2, bad)
+            src.write_text("\n".join(lines) + "\n")
+            code, _, err = run_cli(capsys, "report", "--in", str(src))
+            assert code == 2, bad[:80]
+            assert f"{src}:3" in err
 
     def test_missing_input_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", "--in", str(tmp_path / "nope.jsonl"))

@@ -13,10 +13,7 @@ from allz.numtheory import (
     _SMALL_PRIMES,
     distinct_primes_bounded,
     factorize,
-    gcd,
-    integer_sqrt,
     is_probable_prime,
-    mod_pow,
     perfect_square_root,
 )
 
@@ -56,56 +53,6 @@ def naive_sieve(limit):
     return flags
 
 
-class TestModPow:
-    def test_examples(self):
-        assert mod_pow(2, 10, 1000) == 24
-        assert mod_pow(3, 0, 7) == 1
-        assert mod_pow(1316667, 27, 2540107) == 1
-
-    def test_rejects_small_modulus(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 1)
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 0)
-
-    def test_rejects_negative_operands(self):
-        with pytest.raises(ValueError):
-            mod_pow(-1, 3, 5)
-        with pytest.raises(ValueError):
-            mod_pow(2, -1, 5)
-
-    def test_matches_repeated_multiplication_exhaustively(self):
-        for m in range(2, 101):
-            for a in range(64):
-                acc = 1 % m
-                for e in range(64):
-                    assert mod_pow(a, e, m) == acc
-                    acc = acc * a % m
-
-
-class TestGcd:
-    def test_examples(self):
-        assert gcd(0, 15) == 15
-        assert gcd(124, 21) == 1
-        assert gcd(7, 21) == 7
-
-    def test_exhaustive_divisor_properties(self):
-        divisors = [[] for _ in range(500)]
-        for d in range(1, 500):
-            for multiple in range(d, 500, d):
-                divisors[multiple].append(d)
-        for x in range(500):
-            for y in range(500):
-                g = gcd(x, y)
-                if x or y:
-                    assert x % g == 0 or x == 0
-                    assert y % g == 0 or y == 0
-                if x and y:
-                    for d in divisors[x]:
-                        if y % d == 0:
-                            assert g % d == 0
-
-
 class TestIsProbablePrime:
     def test_examples(self):
         assert is_probable_prime(2)
@@ -136,24 +83,6 @@ class TestIsProbablePrime:
             assert is_probable_prime(x) == miller_rabin(x), x
         assert not is_probable_prime(9999) and not is_probable_prime(10_000)
         assert is_probable_prime(10_007)
-
-
-class TestIntegerSqrt:
-    def test_examples(self):
-        assert integer_sqrt(0) == 0
-        assert integer_sqrt(48) == 6
-        assert integer_sqrt(49729) == 223
-
-    def test_bracketing_on_random_values(self):
-        rng = random.Random(0xA11E)
-        for _ in range(1_000_000):
-            x = rng.randrange(0, 1 << 62)
-            s = integer_sqrt(x)
-            assert s * s <= x < (s + 1) * (s + 1)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            integer_sqrt(-1)
 
 
 class TestPerfectSquareRoot:
@@ -252,26 +181,46 @@ class TestDistinctPrimesBounded:
             (360, 1000),
             (99_991, 10**5),
             (2 * 99_991, 99_990),
+            (10_007 * 10_009, 10**8),
+            (10_007 * 10_009, 10_008),
+            (10_001**2, 10**6),
+            (2 * 1_000_003, 10**6),
+            (2 * 1_000_003, 10**9),
+            (999_983 * 1_000_003, 10**12),
         ],
     )
     def test_matches_plain_trial_division_edges(self, x, bound):
         assert distinct_primes_bounded(x, bound) == plain_trial_division(x, bound)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=2, max_value=10**5))
+    @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=2, max_value=10**9))
     def test_matches_plain_trial_division(self, x, bound):
         assert distinct_primes_bounded(x, bound) == plain_trial_division(x, bound)
 
 
 @functools.cache
-def primes_to_100k():
-    flags = naive_sieve(10**5)
-    return [i for i in range(10**5 + 1) if flags[i]]
+def primes_to_1m():
+    flags = naive_sieve(10**6)
+    return [i for i in range(10**6 + 1) if flags[i]]
 
 
 def plain_trial_division(x, bound):
-    """Every prime p <= min(bound, x) dividing x, each tested."""
-    return [p for p in primes_to_100k() if p <= min(bound, x) and x % p == 0]
+    """Every prime p <= min(bound, x) dividing x.
+
+    Each prime up to 10**6 is tested and the primes found are divided out.
+    What is left has no prime factor up to min(bound, 10**6), so it is
+    within the bound only as a single prime beyond 10**6. That makes this
+    exact whenever x has at most one prime factor beyond 10**6, as every x
+    below 10**12 does.
+    """
+    found = [p for p in primes_to_1m() if p <= min(bound, x) and x % p == 0]
+    rest = x
+    for p in found:
+        while rest % p == 0:
+            rest //= p
+    if 1 < rest <= bound:
+        found.append(rest)
+    return found
 
 
 def test_small_prime_table_is_complete():
