@@ -203,10 +203,11 @@ class CampaignConfig:
     retry_limit: int = 0
 
     def validate(self) -> None:
+        # Exact type, as for records: a JSON true is no integer.
         for name in ("digits", "trials", "master_seed", "workers", "retry_limit"):
-            if not isinstance(getattr(self, name), int):
+            if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer")
-        if self.bound is not None and not isinstance(self.bound, int):
+        if self.bound is not None and type(self.bound) is not int:
             raise ValueError("bound must be an integer or omitted")
         if not 2 <= self.digits <= 12:
             raise ValueError(f"digits must be in [2, 12], got {self.digits}")
@@ -285,6 +286,11 @@ def sample_base(n: int, mode: BaseMode, rng: RandomStream) -> int:
                 return a
     if mode == "perfect_square":
         hi = math.isqrt(n - 1)
+        for b in range(2, hi + 1):
+            if math.gcd(b, n) == 1:
+                break
+        else:
+            raise ValueError(f"no square b*b with 2 <= b <= {hi} is coprime to {n}")
         while True:
             b = rng.randint(2, hi)
             a = b * b
@@ -598,7 +604,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
             (config, lo, min(lo + _BLOCK_SIZE, config.trials))
             for lo in range(0, config.trials, _BLOCK_SIZE)
         ]
-        with multiprocessing.Pool(processes=config.workers) as pool:
+        with multiprocessing.Pool(processes=min(config.workers, len(blocks))) as pool:
             chunks = pool.map(_run_block, blocks)
         records = [record for chunk in chunks for record in chunk]
     stats = compute_metrics(records)

@@ -146,8 +146,11 @@ def _cmd_factor(args: argparse.Namespace) -> int:
             print(f"error: base must satisfy 2 <= a < n, got {a}", file=sys.stderr)
             return EXIT_INVALID_INPUT
     else:
-        mode = args.auto_base or "random"
-        a = sample_base(n, mode, RandomStream(case_seed(args.seed, 0)))
+        try:
+            a = sample_base(n, args.auto_base or "random", RandomStream(case_seed(args.seed, 0)))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
     outcome, order, order_factors = _strategy_outcome(args.strategy, n, a, args.bound)
     payload = {
         "status": outcome.status,
@@ -276,13 +279,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _load_records(paths: Iterable[str]) -> list[TrialRecord]:
     records = []
     for path in paths:
-        with open(path, encoding="utf-8") as handle:
+        # Binary lines decoded one by one, so a byte that is not UTF-8 is
+        # reported with its line like any other malformed record (a blank
+        # line fails json.loads).
+        with open(path, "rb") as handle:
             for lineno, line in enumerate(handle, start=1):
-                stripped = line.strip()
-                if not stripped:
-                    raise _MalformedLine(path, lineno)
                 try:
-                    records.append(TrialRecord.from_json_dict(json.loads(stripped)))
+                    data = json.loads(line.decode("utf-8").strip())
+                    records.append(TrialRecord.from_json_dict(data))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise _MalformedLine(path, lineno) from exc
     return records

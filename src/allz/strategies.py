@@ -2,7 +2,8 @@
 
 Three variants share one attempt vocabulary:
 
-* `traditional_shor` needs an even order r and works from a**(r/2) +- 1.
+* `traditional_shor` needs an even order r with a**(r/2) != -1 (mod n)
+  and takes gcd(a**(r/2) - 1, n).
 * `dong2023` additionally tries the divisor 3 and a perfect-square
   fallback (a reconstruction of the 2023 improved variant from its
   one-line description; treat its label accordingly in reports).
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Iterable, Literal
 
 from .numtheory import distinct_primes_bounded, perfect_square_root
 from .period_oracle import PeriodRecord
@@ -43,28 +44,46 @@ class AttemptResult:
 
 @dataclass(frozen=True)
 class FactorOutcome:
-    """Result of running one strategy on (n, a, r).
+    """Result of running one strategy on (n, a, r): its attempt log.
 
     `attempts` logs everything tried in order; on success it ends with the
-    witnessing attempt, on failure every entry is trivial. `gcd_count`
-    counts every gcd evaluated, including the initial gcd(a, n) shortcut
-    probe even when that probe found nothing and was therefore not logged.
+    witnessing attempt, on failure every entry is trivial. Everything else
+    is read off the log.
     """
 
-    status: Literal["success", "failure"]
-    factor: int | None
-    witness: AttemptResult | None
     attempts: tuple[AttemptResult, ...]
-    gcd_count: int
+
+    @property
+    def witness(self) -> AttemptResult | None:
+        """The last attempt when it found a factor; None on failure."""
+        if self.attempts and self.attempts[-1].outcome == FACTOR_FOUND:
+            return self.attempts[-1]
+        return None
+
+    @property
+    def status(self) -> Literal["success", "failure"]:
+        return "failure" if self.witness is None else "success"
+
+    @property
+    def factor(self) -> int | None:
+        witness = self.witness
+        return None if witness is None else witness.gcd_value
+
+    @property
+    def gcd_count(self) -> int:
+        """Every gcd evaluated. The gcd(a, n) probe always runs but is
+        logged only when it found a factor."""
+        return 1 + sum(att.kind != "gcd_shortcut" for att in self.attempts)
 
     @property
     def succeeded_z(self) -> int | str | None:
         """The witnessing divisor z, "fallback" or "shortcut"; None on failure."""
-        if self.witness is None:
+        witness = self.witness
+        if witness is None:
             return None
-        if self.witness.kind == "divisor":
-            return self.witness.divisor_z
-        return "fallback" if self.witness.kind == "fallback" else "shortcut"
+        if witness.kind == "divisor":
+            return witness.divisor_z
+        return "fallback" if witness.kind == "fallback" else "shortcut"
 
     @property
     def failed_z(self) -> tuple[int, ...]:
@@ -115,41 +134,38 @@ def fallback_square(n: int, b: int, r: int) -> AttemptResult:
     return _classify("fallback", None, g, n)
 
 
-def _validate_instance(n: int, a: int) -> None:
+def _shortcut_or_period(
+    n: int, a: int, period: PeriodRecord | None
+) -> tuple[FactorOutcome, None] | tuple[None, PeriodRecord]:
+    """Validate (n, a), then probe gcd(a, n).
+
+    Returns the shortcut outcome when the probe found a factor, otherwise
+    None and the period record, which is then required.
+    """
     if n < 4:
         raise ValueError(f"modulus must be a composite >= 4, got {n}")
     if not 2 <= a < n:
         raise ValueError(f"base must satisfy 2 <= a < n, got a={a}, n={n}")
-
-
-def _shortcut(n: int, a: int) -> AttemptResult | None:
-    """The gcd(a, n) probe; an AttemptResult only when it found a factor."""
     g = math.gcd(a, n)
     if g > 1:
-        return _classify("gcd_shortcut", None, g, n)
-    return None
-
-
-def _success(attempts: list[AttemptResult], witness: AttemptResult, gcd_count: int) -> FactorOutcome:
-    return FactorOutcome(
-        status="success",
-        factor=witness.gcd_value,
-        witness=witness,
-        attempts=tuple(attempts),
-        gcd_count=gcd_count,
-    )
-
-
-def _failure(attempts: list[AttemptResult], gcd_count: int) -> FactorOutcome:
-    return FactorOutcome(
-        status="failure", factor=None, witness=None, attempts=tuple(attempts), gcd_count=gcd_count
-    )
-
-
-def _require_period(period: PeriodRecord | None) -> PeriodRecord:
+        return FactorOutcome((_classify("gcd_shortcut", None, g, n),)), None
     if period is None:
         raise ValueError("a period record is required when gcd(a, n) == 1")
-    return period
+    return None, period
+
+
+def _divisors_then_square(n: int, a: int, r: int, divisors: Iterable[int]) -> FactorOutcome:
+    """Try each divisor z of r in turn, stopping at the first factor; if
+    none is found and a is a perfect square b*b, try gcd(b**r - 1, n) last."""
+    attempts: list[AttemptResult] = []
+    for z in divisors:
+        attempts.append(attempt_divisor(n, a, r, z))
+        if attempts[-1].outcome == FACTOR_FOUND:
+            return FactorOutcome(tuple(attempts))
+    b = perfect_square_root(a)
+    if b is not None:
+        attempts.append(fallback_square(n, b, r))
+    return FactorOutcome(tuple(attempts))
 
 
 def all_z(
@@ -164,81 +180,38 @@ def all_z(
     square b*b, tries gcd(b**r - 1, n) last. Failure is a value, never an
     exception.
     """
-    _validate_instance(n, a)
-    sc = _shortcut(n, a)
-    if sc is not None:
-        return _success([sc], sc, 1)
-    record = _require_period(period)
-    r = record.order
-    if bound is not None:
-        primes: tuple[int, ...] | list[int] = distinct_primes_bounded(r, bound)
-    else:
-        primes = record.distinct_primes()
-    gcd_count = 1
-    attempts: list[AttemptResult] = []
-    for z in primes:
-        att = attempt_divisor(n, a, r, z)
-        attempts.append(att)
-        gcd_count += 1
-        if att.outcome == FACTOR_FOUND:
-            return _success(attempts, att, gcd_count)
-    b = perfect_square_root(a)
-    if b is not None:
-        att = fallback_square(n, b, r)
-        attempts.append(att)
-        gcd_count += 1
-        if att.outcome == FACTOR_FOUND:
-            return _success(attempts, att, gcd_count)
-    return _failure(attempts, gcd_count)
+    shortcut, period = _shortcut_or_period(n, a, period)
+    if shortcut is not None:
+        return shortcut
+    r = period.order
+    primes = period.distinct_primes() if bound is None else distinct_primes_bounded(r, bound)
+    return _divisors_then_square(n, a, r, primes)
 
 
 def traditional_shor(n: int, a: int, period: PeriodRecord | None) -> FactorOutcome:
-    """Baseline post-processing: even r, factors from gcd(a**(r/2) -+ 1, n).
+    """Baseline post-processing: even r, a factor from gcd(a**(r/2) - 1, n).
 
-    Fails when r is odd or a**(r/2) = -1 (mod n). Both the minus and the
-    plus gcd are tested, which can only strengthen this baseline.
+    Fails when r is odd or a**(r/2) = -1 (mod n). Otherwise t = a**(r/2)
+    is a square root of 1 other than +-1, so n divides (t - 1)(t + 1) but
+    neither factor, and gcd(t - 1, n) is always proper: the plus gcd
+    gcd(t + 1, n) is never needed.
     """
-    _validate_instance(n, a)
-    sc = _shortcut(n, a)
-    if sc is not None:
-        return _success([sc], sc, 1)
-    r = _require_period(period).order
-    if r % 2:
-        return _failure([], 1)
-    t = pow(a, r // 2, n)
-    if t == n - 1:
-        return _failure([], 1)
-    attempts: list[AttemptResult] = []
-    minus = _classify("divisor", 2, math.gcd((t + n - 1) % n, n), n)
-    attempts.append(minus)
-    if minus.outcome == FACTOR_FOUND:
-        return _success(attempts, minus, 2)
-    plus = _classify("divisor", 2, math.gcd((t + 1) % n, n), n)
-    attempts.append(plus)
-    if plus.outcome == FACTOR_FOUND:
-        return _success(attempts, plus, 3)
-    return _failure(attempts, 3)
+    shortcut, period = _shortcut_or_period(n, a, period)
+    if shortcut is not None:
+        return shortcut
+    r = period.order
+    if r % 2 or (t := pow(a, r // 2, n)) == n - 1:
+        return FactorOutcome(())
+    return FactorOutcome((_classify("divisor", 2, math.gcd(t - 1, n), n),))
 
 
 def dong2023(n: int, a: int, period: PeriodRecord | None) -> FactorOutcome:
-    """Reconstructed 2023 variant: traditional, then divisor 3, then fallback."""
+    """Reconstructed 2023 variant: traditional, then divisor 3, then fallback.
+
+    A failed traditional run logs no attempt, so its log is not carried over.
+    """
     base = traditional_shor(n, a, period)
     if base.status == "success":
         return base
-    r = _require_period(period).order
-    attempts = list(base.attempts)
-    gcd_count = base.gcd_count
-    if r % 3 == 0:
-        att = attempt_divisor(n, a, r, 3)
-        attempts.append(att)
-        gcd_count += 1
-        if att.outcome == FACTOR_FOUND:
-            return _success(attempts, att, gcd_count)
-    b = perfect_square_root(a)
-    if b is not None:
-        att = fallback_square(n, b, r)
-        attempts.append(att)
-        gcd_count += 1
-        if att.outcome == FACTOR_FOUND:
-            return _success(attempts, att, gcd_count)
-    return _failure(attempts, gcd_count)
+    r = period.order
+    return _divisors_then_square(n, a, r, (3,) if r % 3 == 0 else ())

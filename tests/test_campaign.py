@@ -3,11 +3,13 @@
 import math
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allz import campaign
 from allz.campaign import (
     BOUND_CLASSES,
     GOLDEN,
@@ -263,9 +265,36 @@ class TestCampaign:
             CampaignConfig(digits=4, trials=1, bound=1),
             CampaignConfig(digits=4, trials=1, workers=0),
             CampaignConfig(digits=4, trials=1, retry_limit=-1),
+            # A JSON true is no integer.
+            CampaignConfig(digits=4, trials=True, workers=True),
+            CampaignConfig(digits=4, trials=1, master_seed=True),
+            CampaignConfig(digits=4, trials=1, retry_limit=True),
+            CampaignConfig(digits=4, trials=1, bound=True),
         ):
             with pytest.raises(ValueError):
                 run_campaign(bad)
+
+    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(campaign, "multiprocessing", SimpleNamespace(Pool=InProcessPool))
+        config = CampaignConfig(digits=4, trials=600, master_seed=6, workers=64)
+        pooled = run_campaign(config)
+        assert sizes == [3]  # 600 trials are 3 blocks of at most 256
+        assert pooled.records == run_campaign(replace(config, workers=1)).records
 
     def test_retries_only_annotate_not_rewrite(self):
         base = CampaignConfig(digits=4, trials=150, master_seed=21, strategy="traditional")

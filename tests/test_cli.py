@@ -93,6 +93,8 @@ class TestInputBoundary:
             ["factor", str((1 << 64) + 1), "--base", "2"],
             ["order", str(1 << 64), "3"],
             ["order", str(3**41), "2"],
+            ["factor", "6", "--auto-base", "perfect_square"],
+            ["factor", "30", "--auto-base", "perfect_square"],
         ],
     )
     def test_rejected_without_traceback(self, argv):
@@ -277,11 +279,12 @@ class TestReportCommand:
             json.dumps({**good, "n": True}),  # a bool is not an int
             json.dumps({**good, "failed_z": ["3"]}),
             json.dumps({**good, "succeeded_z": 1.5}),
+            b"\xff\xfe\x00bad",  # not UTF-8
         ):
             src = tmp_path / "broken.jsonl"
-            lines = [record_json_line(r) for r in sample_records[:3]]
-            lines.insert(2, bad)
-            src.write_text("\n".join(lines) + "\n")
+            lines = [record_json_line(r).encode() for r in sample_records[:3]]
+            lines.insert(2, bad if isinstance(bad, bytes) else bad.encode())
+            src.write_bytes(b"\n".join(lines) + b"\n")
             code, _, err = run_cli(capsys, "report", "--in", str(src))
             assert code == 2, bad[:80]
             assert f"{src}:3" in err

@@ -171,6 +171,20 @@ class TestTraditional:
         assert out.status == "success"
         assert out.factor == 7
 
+    def test_minus_gcd_decides_on_any_composite(self):
+        # Once r is even and a**(r/2) != -1, a**(r/2) is a square root of 1
+        # other than +-1, so gcd(a**(r/2) - 1, n) alone is a proper factor.
+        for n in (45, 105, 189, 210, 1155):
+            for a in range(2, n):
+                if math.gcd(a, n) != 1:
+                    continue
+                period = period_of(a, n)
+                r = period.order
+                out = traditional_shor(n, a, period)
+                usable = r % 2 == 0 and pow(a, r // 2, n) != n - 1
+                assert out.status == ("success" if usable else "failure")
+                assert len(out.attempts) == usable
+
 
 class TestDong2023:
     def test_success_via_traditional_path(self):
@@ -223,13 +237,21 @@ class TestStrategyProperties:
                     assert full.status == "success"
 
     def test_failure_logs_are_all_trivial_and_deterministic(self):
+        # The outcome is read off its log, so every attempt but the last
+        # must be trivial and a success must end on its witness.
         rng = RandomStream(2)
         for n, p, q in semiprimes_below(10_000)[::11]:
-            for a in self.bases_for(n, 2, rng):
-                period = period_of(a, n)
-                out = all_z(n, a, period)
-                assert out == all_z(n, a, period)
-                if out.status == "failure":
+            for a in self.bases_for(n, 2, rng) + [p * (2 + rng.below(q - 2))]:
+                period = period_of(a, n) if math.gcd(a, n) == 1 else None
+                for strategy in (all_z, traditional_shor, dong2023):
+                    out = strategy(n, a, period)
+                    assert out == strategy(n, a, period)
+                    for att in out.attempts[:-1]:
+                        assert att.gcd_value in (1, n)
+                    if out.status == "success":
+                        assert out.witness is out.attempts[-1]
+                        assert out.factor == out.witness.gcd_value in (p, q)
+                        continue
                     for att in out.attempts:
                         assert att.gcd_value in (1, n)
                     if any(att.kind == "fallback" for att in out.attempts):
