@@ -17,18 +17,28 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import sys
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Any, Iterable, Literal
 
 from .numtheory import Factorization, factorize, is_probable_prime
-from .period_oracle import PeriodRecord, carmichael_exponent, multiplicative_order
+from .period_oracle import (
+    PeriodRecord,
+    carmichael_exponent,
+    lcm_of_orders,
+    multiplicative_order,
+)
 from .strategies import FactorOutcome, all_z, dong2023, traditional_shor
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _RETRY_SALT = 0x5DEECE66D
 _SAMPLING_CAP = 1_000_000
+# Below this a modulus is one CPython digit, and reducing the order mod n
+# directly costs less than two reductions and an lcm. Above it, reducing
+# mod p and mod q works on one-digit operands instead of several.
+_DIRECT_ORDER_LIMIT = 1 << sys.int_info.bits_per_digit
 
 BaseMode = Literal["random", "perfect_square"]
 StrategyName = Literal["traditional", "dong2023", "allz"]
@@ -163,18 +173,25 @@ class TrialRecord:
     error: str | None
 
     def to_json_dict(self) -> dict[str, Any]:
-        out = {name: getattr(self, name) for name in _RECORD_FIELDS}
+        # The instance dict holds the fields and nothing else, in field order.
+        out = dict(vars(self))
         out["failed_z"] = list(self.failed_z)
         return out
 
     @classmethod
     def from_json_dict(cls, data: dict[str, Any]) -> "TrialRecord":
-        """Decode one JSON object; KeyError or TypeError if a field is missing or mistyped."""
+        """Decode one JSON object.
+
+        KeyError or TypeError if a field is missing or mistyped; ValueError
+        if the status is neither "success" nor "failure".
+        """
         values = {}
         for name, types in _RECORD_TYPES.items():
             values[name] = value = data[name]
             if type(value) not in types:
                 raise TypeError(f"record field {name!r} cannot be {type(value).__name__}")
+        if values["status"] not in ("success", "failure"):
+            raise ValueError(f"record status cannot be {values['status']!r}")
         failed_z = values["failed_z"] = tuple(values["failed_z"])
         for z in failed_z:
             if type(z) is not int:
@@ -182,7 +199,6 @@ class TrialRecord:
         return cls(**values)
 
 
-_RECORD_FIELDS = tuple(TrialRecord.__dataclass_fields__)
 # The JSON value types each record field accepts, read off its annotation
 # and matched exactly, so a bool is no int. A tuple travels as a list.
 _JSON_TYPES = {"int": int, "str": str, "bool": bool, "None": type(None), "tuple[int, ...]": list}
@@ -312,18 +328,37 @@ def run_strategy(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+OrderHints = Factorization | tuple[Factorization, Factorization]
+
+
+def order_hints(sp: Semiprime) -> OrderHints:
+    """The factored exponents `run_trial` reduces the order from.
+
+    lcm(p - 1, q - 1) for a modulus below `_DIRECT_ORDER_LIMIT`, otherwise
+    p - 1 and q - 1. Either way `carmichael_exponent` first checks that p
+    and q are distinct primes, without which the order mod p*q would not
+    be the lcm of the orders mod p and mod q.
+    """
+    lam = carmichael_exponent(sp.p, sp.q)
+    if sp.n < _DIRECT_ORDER_LIMIT:
+        return factorize(lam)
+    return factorize(sp.p - 1), factorize(sp.q - 1)
+
+
 def run_trial(
     case: TrialCase,
     strategy: StrategyName,
     bound: int | None = None,
-    exponent_hint: Factorization | None = None,
+    exponent_hints: OrderHints | None = None,
 ) -> TrialRecord:
     """Run one strategy attempt and fill every diagnostic field.
 
-    Deterministic function of the case. `exponent_hint` is the factored
-    Carmichael exponent of the case's modulus when the caller already has
-    it; otherwise it is computed here when needed. Precondition violations
-    come back as a poisoned record carrying the error message.
+    Deterministic function of the case. Below `_DIRECT_ORDER_LIMIT` the
+    order is reduced mod n; above it, mod p and mod q and merged by lcm
+    (CRT). Both give the same record. `exponent_hints` are the case's
+    `order_hints` when the caller already has them; otherwise they are
+    computed here when needed. Precondition violations come back as a
+    poisoned record carrying the error message.
     """
     sp = case.semiprime
     n, a = sp.n, case.a
@@ -343,9 +378,16 @@ def run_trial(
         if math.gcd(a, n) > 1:
             period = None
         else:
-            if exponent_hint is None:
-                exponent_hint = factorize(carmichael_exponent(sp.p, sp.q))
-            period = multiplicative_order(a, n, exponent_hint=exponent_hint)
+            if exponent_hints is None:
+                exponent_hints = order_hints(sp)
+            if n < _DIRECT_ORDER_LIMIT:
+                period = multiplicative_order(a, n, exponent_hint=exponent_hints)
+            else:
+                hint_p, hint_q = exponent_hints
+                period = lcm_of_orders(
+                    multiplicative_order(a % sp.p, sp.p, exponent_hint=hint_p),
+                    multiplicative_order(a % sp.q, sp.q, exponent_hint=hint_q),
+                )
         outcome = run_strategy(strategy, n, a, period, bound)
     except ValueError as exc:
         return TrialRecord(
@@ -543,10 +585,9 @@ def _build_case(config: CampaignConfig, case_id: int) -> TrialCase:
 def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
     case = _build_case(config, case_id)
     # Every attempt on the case shares its modulus, and so the factored
-    # Carmichael exponent that seeds the order computation.
-    sp = case.semiprime
-    hint = factorize(carmichael_exponent(sp.p, sp.q))
-    record = run_trial(case, config.strategy, config.bound, hint)
+    # exponents that seed the order computation.
+    hints = order_hints(case.semiprime)
+    record = run_trial(case, config.strategy, config.bound, hints)
     if record.status == "success" or record.error is not None or config.retry_limit == 0:
         return record
     # Retries draw fresh bases for the same modulus from a sub-stream of
@@ -567,7 +608,7 @@ def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
         tried.add(a_next)
         attempts_used += 1
         retry_case = replace(case, a=a_next)
-        retry_record = run_trial(retry_case, config.strategy, config.bound, hint)
+        retry_record = run_trial(retry_case, config.strategy, config.bound, hints)
         if retry_record.status == "success":
             resolved = True
             break

@@ -217,8 +217,13 @@ def _load_campaign_config(args: argparse.Namespace) -> CampaignConfig:
     return config
 
 
+# One compact encoder for every record: json.dumps builds a new one per
+# call whenever separators are given.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def record_json_line(record: TrialRecord) -> str:
-    return json.dumps(record.to_json_dict(), separators=(",", ":"))
+    return _RECORD_ENCODER.encode(record.to_json_dict())
 
 
 def _stats_summary_lines(stats: CampaignStats, header: str) -> list[str]:
@@ -451,10 +456,14 @@ def _cmd_verify_paper() -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "factor":
-        return _cmd_factor(args)
-    if args.command == "order":
-        return _cmd_order(args)
+    try:
+        if args.command == "factor":
+            return _cmd_factor(args)
+        if args.command == "order":
+            return _cmd_order(args)
+    except ArithmeticError as exc:  # Brent rho ran out of parameters
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
     if args.command == "campaign":
         return _cmd_campaign(args)
     if args.command == "report":

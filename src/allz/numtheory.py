@@ -9,7 +9,7 @@ cycle-finding variant of the rho method).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, count
 
 
@@ -53,27 +53,24 @@ class Factorization:
     """A complete prime factorization as (prime, multiplicity) pairs.
 
     Entries are strictly ascending in the prime and every multiplicity is
-    positive; the empty factorization represents 1.
+    positive; the empty factorization represents 1. `value`, the integer
+    the entries reconstruct, is computed once in the validating pass.
     """
 
     entries: tuple[tuple[int, int], ...]
+    value: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         last = 1
+        out = 1
         for prime, mult in self.entries:
             if prime <= last:
                 raise ValueError("factor entries must be strictly ascending primes")
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
             last = prime
-
-    @property
-    def value(self) -> int:
-        """The integer this factorization reconstructs."""
-        out = 1
-        for prime, mult in self.entries:
             out *= prime**mult
-        return out
+        object.__setattr__(self, "value", out)
 
     @property
     def distinct_primes(self) -> tuple[int, ...]:

@@ -5,6 +5,11 @@ a base a and modulus n with gcd(a, n) = 1 it returns the least r >= 1 with
 a**r = 1 (mod n), together with the complete factorization of r. The
 oracle may factor n internally (it plays the role of an idealized quantum
 subroutine); callers downstream only ever see (n, a, r).
+
+The campaign, which knows n = p*q, gets its orders prime by prime once
+n is longer than one CPython digit: the order mod p reduced from the
+factored p - 1, the same for q, and `lcm_of_orders` merges the two, since
+by the CRT the order mod p*q is their lcm.
 """
 
 from __future__ import annotations
@@ -87,13 +92,30 @@ def multiplicative_order(
         raise ValueError("exponent hint does not annihilate the base")
     r = exponent
     remaining: list[tuple[int, int]] = []
-    for z, mult in exponent_hint:
+    for z, mult in exponent_hint.entries:
         while mult and pow(a, r // z, n) == 1:
             r //= z
             mult -= 1
         if mult:
             remaining.append((z, mult))
     return PeriodRecord(order=r, factors=Factorization(tuple(remaining)))
+
+
+def lcm_of_orders(first: PeriodRecord, second: PeriodRecord) -> PeriodRecord:
+    """The lcm of two factored orders, fully factored.
+
+    With first and second the orders of a modulo distinct primes p and q,
+    this is the order of a modulo p*q. Each prime keeps its larger
+    multiplicity.
+    """
+    merged = dict(first.factors.entries)
+    for prime, mult in second.factors.entries:
+        if mult > merged.get(prime, 0):
+            merged[prime] = mult
+    return PeriodRecord(
+        order=math.lcm(first.order, second.order),
+        factors=Factorization(tuple(sorted(merged.items()))),
+    )
 
 
 def order_brute_force(a: int, n: int) -> int:

@@ -32,7 +32,8 @@ from allz.campaign import (
     sample_base,
     sample_semiprime,
 )
-from allz.numtheory import is_probable_prime, perfect_square_root
+from allz.numtheory import factorize, is_probable_prime, perfect_square_root
+from allz.period_oracle import carmichael_exponent, lcm_of_orders, multiplicative_order
 
 
 class TestSeedDerivation:
@@ -214,6 +215,18 @@ class TestRunTrial:
         assert record.status == "failure"
         assert failure_reason(record) == "precondition_error"
 
+    def test_composite_prime_poisons_the_record(self):
+        # n = 9 * 120000007 is past one CPython digit, so run_trial would
+        # merge orders mod p and mod q. Modulo p = 3 * 120000007 and q = 3
+        # the base a = p + 1 is 1, so the lcm would claim r = 1; the true
+        # order of a mod n is 3. The prime check stops it.
+        p, q = 3 * 120_000_007, 3
+        assert p * q >= campaign._DIRECT_ORDER_LIMIT
+        record = run_trial(make_case(p * q, p, q, p + 1), "allz")
+        assert record.error == f"{p} is not prime"
+        assert record.r == 0
+        assert failure_reason(record) == "precondition_error"
+
     def test_bounded_run_still_reports_full_r_structure(self):
         record = run_trial(make_case(2540107, 1567, 1621, 1316667), "allz", bound=2)
         assert record.failed_z == ()  # 3 is beyond the bound
@@ -221,6 +234,39 @@ class TestRunTrial:
         assert record.status == "failure"
         # no divisor tried and no fallback: only the allz branch names the reason
         assert failure_reason(record) == "all_divisors_trivial"
+
+
+class TestOrderByPrimes:
+    """The campaign's order, found mod p and mod q, equals the direct one."""
+
+    @pytest.mark.parametrize("digits", [10, 11, 12])
+    @pytest.mark.parametrize("base_mode", ["random", "perfect_square"])
+    def test_sampled_large_cases(self, digits, base_mode):
+        config = CampaignConfig(digits=digits, trials=50, base_mode=base_mode, master_seed=digits)
+        by_primes = 0
+        for case_id in range(config.trials):
+            case = campaign._build_case(config, case_id)
+            sp, a = case.semiprime, case.a
+            direct = multiplicative_order(
+                a, sp.n, exponent_hint=factorize(carmichael_exponent(sp.p, sp.q))
+            )
+            composed = lcm_of_orders(
+                multiplicative_order(a % sp.p, sp.p, exponent_hint=factorize(sp.p - 1)),
+                multiplicative_order(a % sp.q, sp.q, exponent_hint=factorize(sp.q - 1)),
+            )
+            assert composed == direct
+            record = run_trial(case, "allz")
+            assert (record.r, record.r_distinct_primes) == (direct.order, len(direct.factors))
+            by_primes += sp.n >= campaign._DIRECT_ORDER_LIMIT
+        assert by_primes > config.trials // 2  # run_trial mostly took the CRT path
+
+    def test_hints_follow_the_modulus_size(self):
+        small = Semiprime(n=1567 * 1621, p=1567, q=1621)
+        assert campaign.order_hints(small) == factorize(carmichael_exponent(1567, 1621))
+        p, q = 999_983, 1_000_003
+        large = Semiprime(n=p * q, p=p, q=q)
+        assert large.n >= campaign._DIRECT_ORDER_LIMIT
+        assert campaign.order_hints(large) == (factorize(p - 1), factorize(q - 1))
 
 
 class TestCampaign:

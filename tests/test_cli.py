@@ -112,6 +112,23 @@ class TestInputBoundary:
         assert proc.stderr.count("\n") == 1
 
 
+class TestRhoExhaustion:
+    """A factorization that rho gives up on ends in one error line, exit 3."""
+
+    N = 10007 * 10009  # no prime factor below 10**4, so factoring needs rho
+
+    @pytest.mark.parametrize("argv", [["factor", str(N), "--base", "2"], ["order", str(N), "2"]])
+    def test_exit_3_without_traceback(self, capsys, monkeypatch, argv):
+        def exhausted(n):
+            raise ArithmeticError(f"rho parameter schedule exhausted for {n}")
+
+        monkeypatch.setattr("allz.numtheory._brent_rho", exhausted)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == f"error: rho parameter schedule exhausted for {self.N}\n"
+
+
 class TestOrderCommand:
     def test_basic(self, capsys):
         code, out, _ = run_cli(capsys, "order", "15", "2")
@@ -279,6 +296,7 @@ class TestReportCommand:
             json.dumps({**good, "n": True}),  # a bool is not an int
             json.dumps({**good, "failed_z": ["3"]}),
             json.dumps({**good, "succeeded_z": 1.5}),
+            json.dumps({**good, "status": "bogus"}),  # neither success nor failure
             b"\xff\xfe\x00bad",  # not UTF-8
         ):
             src = tmp_path / "broken.jsonl"

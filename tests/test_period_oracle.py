@@ -10,6 +10,7 @@ from allz.numtheory import Factorization, factorize
 from allz.period_oracle import (
     PeriodRecord,
     carmichael_exponent,
+    lcm_of_orders,
     multiplicative_order,
     order_brute_force,
 )
@@ -145,6 +146,40 @@ class TestMultiplicativeOrder:
         record = multiplicative_order(a, n, exponent_hint=factorize(lam))
         assert lam % record.order == 0
         assert record.factors.value == record.order
+
+
+class TestLcmOfOrders:
+    def test_merge_keeps_larger_multiplicity(self):
+        mod_p = PeriodRecord(order=12, factors=Factorization(((2, 2), (3, 1))))
+        mod_q = PeriodRecord(order=10, factors=Factorization(((2, 1), (5, 1))))
+        merged = PeriodRecord(order=60, factors=Factorization(((2, 2), (3, 1), (5, 1))))
+        assert lcm_of_orders(mod_p, mod_q) == merged
+        assert lcm_of_orders(mod_q, mod_p) == merged
+        one = PeriodRecord(order=1, factors=Factorization(()))
+        assert lcm_of_orders(one, mod_p) == mod_p
+
+    def test_every_unit_of_small_semiprimes_matches_direct_order(self):
+        # The campaign's composition: the order mod p from the factored
+        # p - 1, the same for q, merged by lcm. p = 2 is included.
+        orders_mod = {}
+
+        def order_mod(x, prime):
+            table = orders_mod.get(prime)
+            if table is None:
+                hint = factorize(prime - 1)
+                table = orders_mod[prime] = [None] + [
+                    multiplicative_order(y, prime, exponent_hint=hint) for y in range(1, prime)
+                ]
+            return table[x]
+
+        semis = semiprimes_below(2000)
+        assert semis[0] == (6, 2, 3)
+        for n, p, q in semis:
+            hint = factorize(carmichael_exponent(p, q))
+            for a in range(1, n):
+                if math.gcd(a, n) == 1:
+                    composed = lcm_of_orders(order_mod(a % p, p), order_mod(a % q, q))
+                    assert composed == multiplicative_order(a, n, exponent_hint=hint), (a, n)
 
 
 class TestPeriodRecord:
