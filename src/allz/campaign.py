@@ -18,11 +18,15 @@ from __future__ import annotations
 import math
 import multiprocessing
 import sys
+from array import array
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
+from functools import lru_cache
+from itertools import islice
+from operator import length_hint
 from typing import Any, Iterable, Literal
 
-from .numtheory import Factorization, factorize, is_probable_prime
+from .numtheory import _PRIME_TABLE, _TRIAL_DIVISION_LIMIT, Factorization, factorize, is_probable_prime
 from .period_oracle import (
     PeriodRecord,
     carmichael_exponent,
@@ -79,21 +83,75 @@ def _draw_limit(bound: int) -> int:
     return (MASK64 + 1) - (MASK64 + 1) % bound
 
 
+@lru_cache(maxsize=16)
+def _lane_constants(k: int) -> tuple[int, int, int]:
+    """Per-lane ones, the steps i * GOLDEN (i = 1..k) and 64-bit masks, in 128-bit lanes."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
+    ramp = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(1, k + 1)), "little")
+    return ones, ramp * GOLDEN, ones * MASK64
+
+
+def mix64_batch(state: int, k: int) -> list[int]:
+    """[mix64(state + i * GOLDEN) for i in 1..k], computed in one packed pass.
+
+    Lane i of one Python int holds the state of draw i in its low 64 bits.
+    Each lane is 128 bits wide so a 64 x 64-bit product never carries into
+    the next lane, and every xor-shift is masked back to 64 bits per lane so
+    the bits it shifts down from the next lane are dropped before the
+    following multiply.
+    """
+    ones, steps, lanes = _lane_constants(k)
+    x = ((state & MASK64) * ones + steps) & lanes
+    x = (x ^ x >> 30) & lanes
+    x = x * 0xBF58476D1CE4E5B9 & lanes
+    x = (x ^ x >> 27) & lanes
+    x = x * 0x94D049BB133111EB & lanes
+    x = (x ^ x >> 31) & lanes
+    raw = x.to_bytes(16 * k, "little")
+    if sys.byteorder == "little":
+        return memoryview(raw).cast("Q")[::2].tolist()
+    words = array("Q", raw)
+    words.byteswap()
+    return words[::2].tolist()
+
+
+_FIRST_BATCH = 32
+_LAST_BATCH = 256
+
+
 class RandomStream:
     """Deterministic uniform integer stream over splitmix64.
 
-    Unbiased bounded draws via rejection; identical across platforms and
-    Python versions, unlike the stdlib Mersenne layer.
+    Draw k is mix64(seed + k * GOLDEN). The state is a plain counter, so
+    draws are computed ahead in counter-based batches by `mix64_batch`; the
+    draw sequence is exactly that of one `mix64` call per draw. The batch
+    doubles on each refill from `_FIRST_BATCH` up to `_LAST_BATCH`, so the
+    draws computed ahead never exceed those handed out by more than
+    `_FIRST_BATCH`. Bounded draws are unbiased via rejection; identical
+    across platforms and Python versions, unlike the stdlib Mersenne layer.
     """
 
-    __slots__ = ("_state",)
+    __slots__ = ("_state", "_draws", "_batch")
 
     def __init__(self, seed: int) -> None:
+        # The counter of the last draw computed, not of the last one handed out.
         self._state = seed & MASK64
+        self._draws = iter(())
+        self._batch = _FIRST_BATCH
+
+    def _refill(self) -> None:
+        """Compute the next batch of draws; only call with the current one used up."""
+        k = self._batch
+        self._draws = iter(mix64_batch(self._state, k))
+        self._state = (self._state + k * GOLDEN) & MASK64
+        if k < _LAST_BATCH:
+            self._batch = 2 * k
 
     def next_raw(self) -> int:
-        self._state = (self._state + GOLDEN) & MASK64
-        return mix64(self._state)
+        for x in self._draws:
+            return x
+        self._refill()
+        return next(self._draws)
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""
@@ -245,30 +303,48 @@ def _digit_count(x: int) -> int:
     return len(str(x))
 
 
-def random_prime(digit_count: int, rng: RandomStream) -> int:
-    """A uniformly drawn prime with exactly digit_count decimal digits."""
+@lru_cache(maxsize=16)
+def _prime_draw_params(digit_count: int) -> tuple[int, int, int, bytes | None]:
+    """lo, span and rejection limit of a digit class, and its sieve if below 10**4.
+
+    Entry r of the sieve is 1 exactly when lo + r is prime.
+    """
     if digit_count < 1:
         raise ValueError("digit count must be >= 1")
     lo = 10 ** (digit_count - 1)
     span = 10**digit_count - lo
-    # rng.randint(lo, lo + span - 1) per candidate, inlined on a local copy
-    # of the stream state: the same draws, the same rejections and the same
-    # final state, without four calls per draw.
-    limit = _draw_limit(span)
-    state = rng._state
-    try:
-        for _ in range(_SAMPLING_CAP):
-            state = (state + GOLDEN) & MASK64
-            x = mix64(state)
-            while x >= limit:
-                state = (state + GOLDEN) & MASK64
-                x = mix64(state)
-            v = lo + x % span
-            if is_probable_prime(v):
-                return v
-    finally:
-        rng._state = state
-    raise RuntimeError(f"no {digit_count}-digit prime found within the draw budget")
+    sieve = bytes(_PRIME_TABLE[lo : lo + span]) if lo + span <= _TRIAL_DIVISION_LIMIT else None
+    return lo, span, _draw_limit(span), sieve
+
+
+def random_prime(digit_count: int, rng: RandomStream) -> int:
+    """A uniformly drawn prime with exactly digit_count decimal digits.
+
+    The same draws and rejections as rng.randint(lo, lo + span - 1) per
+    candidate, read straight from the stream's batch. The draw budget is
+    `_SAMPLING_CAP` draws.
+    """
+    lo, span, limit, sieve = _prime_draw_params(digit_count)
+    budget = _SAMPLING_CAP
+    while True:
+        draws = rng._draws
+        left = length_hint(draws)  # exact for a list iterator: the draws not yet read
+        if left > budget:
+            draws, left = islice(draws, budget), budget
+        if sieve is not None:
+            for x in draws:
+                if x < limit and sieve[r := x % span]:
+                    return lo + r
+        else:
+            # Looked up as a module global on every use and never kept, so a
+            # wrapper swapped in for a traced run leaves with its restore.
+            for x in draws:
+                if x < limit and is_probable_prime(v := lo + x % span):
+                    return v
+        budget -= left
+        if not budget:
+            raise RuntimeError(f"no {digit_count}-digit prime found within the draw budget")
+        rng._refill()
 
 
 def sample_semiprime(digits: int, rng: RandomStream) -> Semiprime:
@@ -412,7 +488,7 @@ def run_trial(
     if period is not None:
         r = period.order
         r_digits = _digit_count(r)
-        r_distinct = len(period.distinct_primes())
+        r_distinct = len(period.factors.entries)
         r_even = r % 2 == 0
         half_minus_one = pow(a, r // 2, n) == n - 1 if r_even else None
     else:
@@ -490,10 +566,6 @@ class CampaignStats:
     cumulative_success_by_bound: dict[str, int] = field(default_factory=dict)
     fallback_success_count: int = 0
 
-    @classmethod
-    def empty(cls) -> "CampaignStats":
-        return cls()
-
     @property
     def success_rate(self) -> Fraction:
         if self.trials == 0:
@@ -558,7 +630,7 @@ def _merge_counts(a: dict, b: dict) -> dict:
 
 
 def merge_stats(s1: CampaignStats, s2: CampaignStats) -> CampaignStats:
-    """Field-wise sum; associative and commutative with empty() as identity."""
+    """Field-wise sum; associative and commutative with CampaignStats() as identity."""
     merged = {}
     for f in fields(CampaignStats):
         x, y = getattr(s1, f.name), getattr(s2, f.name)
@@ -568,7 +640,7 @@ def merge_stats(s1: CampaignStats, s2: CampaignStats) -> CampaignStats:
 
 def compute_metrics(records: Iterable[TrialRecord]) -> CampaignStats:
     """Recompute aggregate stats from raw records."""
-    stats = CampaignStats.empty()
+    stats = CampaignStats()
     for record in records:
         stats.absorb(record)
     return stats

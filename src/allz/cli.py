@@ -54,9 +54,11 @@ _BOUND_CLASS_LABELS = {
 
 
 def _fixed6(value: Fraction) -> str:
-    """Exact 6-decimal fixed-point rendering (round half up)."""
-    scaled = (value.numerator * 2_000_000 + value.denominator) // (2 * value.denominator)
-    return f"{scaled // 1_000_000}.{scaled % 1_000_000:06d}"
+    """Exact 6-decimal fixed-point rendering, the magnitude rounded half up."""
+    sign = "-" if value < 0 else ""
+    num, den = abs(value.numerator), value.denominator
+    scaled = (num * 2_000_000 + den) // (2 * den)
+    return f"{sign}{scaled // 1_000_000}.{scaled % 1_000_000:06d}"
 
 
 def _rate(numerator: int, denominator: int) -> str:

@@ -82,9 +82,6 @@ class Factorization:
     def __iter__(self):
         return iter(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def is_probable_prime(x: int) -> bool:
     """Deterministic primality test, correct for every x below 2**64.

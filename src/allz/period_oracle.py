@@ -37,10 +37,6 @@ class PeriodRecord:
         if self.factors.value != self.order:
             raise ValueError("factorization does not reconstruct the order")
 
-    def distinct_primes(self) -> tuple[int, ...]:
-        """Distinct prime divisors of the order, ascending."""
-        return self.factors.distinct_primes
-
 
 def carmichael_exponent(p: int, q: int) -> int:
     """lcm(p - 1, q - 1) for distinct primes p, q.

@@ -184,7 +184,7 @@ def all_z(
     if shortcut is not None:
         return shortcut
     r = period.order
-    primes = period.distinct_primes() if bound is None else distinct_primes_bounded(r, bound)
+    primes = period.factors.distinct_primes if bound is None else distinct_primes_bounded(r, bound)
     return _divisors_then_square(n, a, r, primes)
 
 

@@ -355,7 +355,7 @@ def test_criterion_8b_bound_monotonicity(check):
             if seen_success:
                 assert out.status == "success", (n, a)
             seen_success = seen_success or out.status == "success"
-        largest = max(period.distinct_primes(), default=2)
+        largest = max(period.factors.distinct_primes, default=2)
         assert all_z(n, a, period, bound=largest) == unbounded, (n, a)
         cases += 1
     check("8b", cases == 10_000, f"bound-status monotonicity held on {cases} random cases")
@@ -385,7 +385,7 @@ def test_criterion_8c_merge_algebra(check):
             )
         return stats
 
-    empty = CampaignStats.empty()
+    empty = CampaignStats()
     checked = 0
     for _ in range(400):
         s1, s2, s3 = random_stats(), random_stats(), random_stats()

@@ -26,6 +26,7 @@ from allz.campaign import (
     failure_reason,
     merge_stats,
     mix64,
+    mix64_batch,
     random_prime,
     run_campaign,
     run_trial,
@@ -65,6 +66,22 @@ class TestSeedDerivation:
         draws = {rng.randint(3, 5) for _ in range(200)}
         assert draws == {3, 4, 5}
 
+    # Seeds at both ends of the state range, and seeds a few GOLDEN steps
+    # before the counter wraps to 0 mod 2**64.
+    EDGE_SEEDS = (0, 7, MASK64) + tuple(-j * GOLDEN & MASK64 for j in (1, 2, 3, 5))
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_mix64_batch_matches_scalar(self, seed):
+        scalar = [mix64(seed + i * GOLDEN) for i in range(1, 257)]
+        for k in range(1, 257):
+            assert mix64_batch(seed, k) == scalar[:k], k
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_next_raw_matches_scalar_stream(self, seed):
+        # 1000 draws span several refills of the batch.
+        rng, ref = RandomStream(seed), ScalarStream(seed)
+        assert [rng.next_raw() for _ in range(1000)] == [ref.next_raw() for _ in range(1000)]
+
 
 class TestSamplers:
     def test_single_digit_primes(self):
@@ -85,20 +102,29 @@ class TestSamplers:
     @pytest.mark.parametrize("digits", range(1, 7))
     def test_random_prime_matches_randint_loop(self, digits):
         for seed in range(40):
-            fast, ref = RandomStream(seed), RandomStream(seed)
+            fast, ref = RandomStream(seed), ScalarStream(seed)
             for _ in range(5):
                 assert random_prime(digits, fast) == randint_loop_prime(digits, ref)
-                assert fast._state == ref._state
+                assert same_next_draws(fast, ref)
 
     @pytest.mark.parametrize("digits", [1, 2, 5])
     def test_random_prime_rejects_draws_like_randint(self, digits):
         # Start the stream just before the draw 2**64 - 1, which is above
         # every rejection limit for a span that does not divide 2**64.
         seed = (unmix64(MASK64) - GOLDEN) & MASK64
-        fast, ref = RandomStream(seed), RandomStream(seed)
-        assert RandomStream(seed).next_raw() == MASK64
+        fast, ref = RandomStream(seed), ScalarStream(seed)
+        assert ScalarStream(seed).next_raw() == MASK64
         assert random_prime(digits, fast) == randint_loop_prime(digits, ref)
-        assert fast._state == ref._state
+        assert same_next_draws(fast, ref)
+
+    def test_random_prime_draw_budget(self, monkeypatch):
+        # The first 4-digit candidate of this seed is composite, so a budget
+        # of one draw runs out.
+        seed = 0
+        assert not is_probable_prime(1000 + ScalarStream(seed).next_raw() % 9000)
+        monkeypatch.setattr(campaign, "_SAMPLING_CAP", 1)
+        with pytest.raises(RuntimeError, match="draw budget"):
+            random_prime(4, RandomStream(seed))
 
     def test_semiprime_classes(self):
         rng = RandomStream(13)
@@ -138,6 +164,30 @@ class TestSamplers:
             sample_base(4, "random", rng)
         with pytest.raises(ValueError):
             sample_base(21, "bogus", rng)
+
+
+class ScalarStream:
+    """The reference draw sequence: draw k is one mix64(seed + k * GOLDEN) call."""
+
+    def __init__(self, seed):
+        self.state = seed & MASK64
+
+    def next_raw(self):
+        self.state = (self.state + GOLDEN) & MASK64
+        return mix64(self.state)
+
+    def randint(self, lo, hi):
+        span = hi - lo + 1
+        limit = (1 << 64) - (1 << 64) % span
+        while True:
+            x = self.next_raw()
+            if x < limit:
+                return lo + x % span
+
+
+def same_next_draws(rng, ref, count=300):
+    """Whether both streams stand at the same position: their next draws agree."""
+    return [rng.next_raw() for _ in range(count)] == [ref.next_raw() for _ in range(count)]
 
 
 def randint_loop_prime(digit_count, rng):
@@ -256,7 +306,7 @@ class TestOrderByPrimes:
             )
             assert composed == direct
             record = run_trial(case, "allz")
-            assert (record.r, record.r_distinct_primes) == (direct.order, len(direct.factors))
+            assert (record.r, record.r_distinct_primes) == (direct.order, len(direct.factors.entries))
             by_primes += sp.n >= campaign._DIRECT_ORDER_LIMIT
         assert by_primes > config.trials // 2  # run_trial mostly took the CRT path
 
@@ -273,7 +323,7 @@ class TestCampaign:
     def test_empty_campaign(self):
         result = run_campaign(CampaignConfig(digits=4, trials=0))
         assert result.records == []
-        assert result.stats == CampaignStats.empty()
+        assert result.stats == CampaignStats()
 
     def test_records_are_ordered_and_deterministic(self):
         config = CampaignConfig(digits=4, trials=40, master_seed=7)
@@ -423,8 +473,8 @@ class TestStatsAlgebra:
         s3 = data.draw(self.stats_strategy())
         assert merge_stats(s1, s2) == merge_stats(s2, s1)
         assert merge_stats(merge_stats(s1, s2), s3) == merge_stats(s1, merge_stats(s2, s3))
-        assert merge_stats(CampaignStats.empty(), s1) == s1
-        assert merge_stats(s1, CampaignStats.empty()) == s1
+        assert merge_stats(CampaignStats(), s1) == s1
+        assert merge_stats(s1, CampaignStats()) == s1
 
     def test_merge_example(self):
         a = CampaignStats(trials=4, successes=3, failures=1)
@@ -436,7 +486,7 @@ class TestStatsAlgebra:
         assert merged.success_rate == Fraction(5, 6)
 
     def test_rate_properties_on_empty(self):
-        empty = CampaignStats.empty()
+        empty = CampaignStats()
         assert empty.success_rate == 0
         assert empty.mean_gcd_count == 0
         assert empty.mean_r_digits == 0

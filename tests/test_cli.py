@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 import allz
+from allz import campaign
 from allz.campaign import CampaignConfig, TrialRecord, compute_metrics, run_campaign
-from allz.cli import main, record_json_line
+from allz.cli import _fixed6, main, record_json_line
 
 SRC_DIR = os.path.dirname(os.path.dirname(allz.__file__))
 
@@ -222,6 +225,30 @@ class TestCampaignCommand:
         )
         assert code == 3
 
+    def test_sampling_budget_exhausted_exits_3(self, capsys, monkeypatch):
+        # Case 0 of master seed 0 draws a composite first 4-digit candidate,
+        # so a budget of one draw runs out on the first prime.
+        monkeypatch.setattr(campaign, "_SAMPLING_CAP", 1)
+        code, out, err = run_cli(capsys, "campaign", "--digits", "7", "--trials", "1", "--seed", "0")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal sampling failure: ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (Fraction(-1, 3), "-0.333333"),
+        (Fraction(-2, 3), "-0.666667"),  # the magnitude rounds up at the sixth decimal
+        (Fraction(-1, 2_000_000), "-0.000001"),  # half rounds away from zero
+        (Fraction(0), "0.000000"),
+        (Fraction(2, 3), "0.666667"),
+    ],
+)
+def test_fixed6(value, text):
+    assert _fixed6(value) == text
+
 
 @pytest.fixture(scope="module")
 def sample_records():
@@ -306,6 +333,17 @@ class TestReportCommand:
             code, _, err = run_cli(capsys, "report", "--in", str(src))
             assert code == 2, bad[:80]
             assert f"{src}:3" in err
+
+    def test_negative_mean_keeps_its_sign(self, capsys, tmp_path):
+        # Record ranges are not checked on load, so a negative r_digits
+        # reaches the mean: (-11 + 5 + 5) / 3 = -1/3.
+        records = run_campaign(CampaignConfig(digits=5, trials=10, master_seed=1)).records
+        with_order = [r for r in records if r.error is None and r.r > 0][:3]
+        src = tmp_path / "r.jsonl"
+        write_jsonl(src, [replace(r, r_digits=d) for r, d in zip(with_order, (-11, 5, 5))])
+        code, out, _ = run_cli(capsys, "report", "--in", str(src))
+        assert code == 0
+        assert "  mean r digits: -0.333333" in out.splitlines()
 
     def test_missing_input_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", "--in", str(tmp_path / "nope.jsonl"))

@@ -89,7 +89,7 @@ class TestMultiplicativeOrder:
             record = multiplicative_order(a, n)
             r = record.order
             assert pow(a, r, n) == 1
-            for z in record.distinct_primes():
+            for z in record.factors.distinct_primes:
                 assert pow(a, r // z, n) != 1
 
     def test_rejects_shared_factor(self):

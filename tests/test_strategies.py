@@ -111,7 +111,7 @@ class TestAllZ:
         n = 31 * 37
         period = period_of(2, n)
         assert period.factors == factorize(period.order)
-        assert max(period.distinct_primes()) > 3
+        assert max(period.factors.distinct_primes) > 3
         bounded = all_z(n, 2, period, bound=3)
         for att in bounded.attempts:
             if att.kind == "divisor":
@@ -126,7 +126,7 @@ class TestAllZ:
             if math.gcd(a, n) != 1:
                 continue
             period = period_of(a, n)
-            largest = period.distinct_primes()[-1] if period.distinct_primes() else 2
+            largest = period.factors.distinct_primes[-1] if period.factors.distinct_primes else 2
             assert all_z(n, a, period, bound=largest) == all_z(n, a, period)
 
     def test_bound_monotone_in_status(self):
@@ -275,7 +275,7 @@ class TestStrategyProperties:
         for n, p, q in semiprimes_below(10_000)[::17]:
             for a in self.bases_for(n, 2, rng):
                 period = period_of(a, n)
-                n_primes = len(period.distinct_primes())
+                n_primes = len(period.factors.distinct_primes)
                 for strategy in (traditional_shor, dong2023):
                     out = strategy(n, a, period)
                     assert out.gcd_count <= 1 + n_primes + 2
