@@ -9,14 +9,19 @@ and aggregates statistics. Determinism is the load-bearing property:
   functions of (config, case_id);
 * workers only change scheduling, never values, and records are always
   emitted in case_id order;
+* a block of cases is the unit of work: it is run, JSON-encoded and
+  folded into its statistics where it is scheduled, so the caller only
+  writes bytes and merges statistics;
 * statistics are plain sums and count maps, so partial aggregates merge
   associatively and commutatively with the empty stats as identity.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import multiprocessing
+import os
 import sys
 from array import array
 from dataclasses import dataclass, field, fields, replace
@@ -24,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 from operator import length_hint
-from typing import Any, Iterable, Literal
+from typing import Any, Iterable, Iterator, Literal
 
 from .numtheory import _PRIME_TABLE, _TRIAL_DIVISION_LIMIT, Factorization, factorize, is_probable_prime
 from .period_oracle import (
@@ -255,6 +260,16 @@ class TrialRecord:
             if type(z) is not int:
                 raise TypeError(f"record field 'failed_z' cannot hold {type(z).__name__}")
         return cls(**values)
+
+
+# One compact encoder for every record: json.dumps builds a new one per
+# call whenever separators are given.
+_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def record_json_line(record: TrialRecord) -> str:
+    """One results-file line of the record, without its line end."""
+    return _RECORD_ENCODER.encode(record.to_json_dict())
 
 
 # The JSON value types each record field accepts, read off its annotation
@@ -687,9 +702,23 @@ def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
     return replace(record, attempts_used=attempts_used, resolved=resolved)
 
 
-def _run_block(args: tuple[CampaignConfig, int, int]) -> list[TrialRecord]:
+Block = tuple[bytes, CampaignStats]
+
+
+def _run_block(args: tuple[CampaignConfig, int, int]) -> Block:
+    """Cases lo..hi-1 as results-file bytes, and their stats, both made here."""
     config, lo, hi = args
-    return [_execute_case(config, cid) for cid in range(lo, hi)]
+    records = [_execute_case(config, cid) for cid in range(lo, hi)]
+    # Folded and encoded in loops of their own, which run faster than one
+    # loop that interleaves them with the cases. Not by compute_metrics: the
+    # benchmark's tracer takes its calls to lie outside any case, and a call
+    # per block would restart the case count of a traced serial run.
+    stats = CampaignStats()
+    for record in records:
+        stats.absorb(record)
+    lines = [record_json_line(record) for record in records]
+    lines.append("")
+    return "\n".join(lines).encode(), stats
 
 
 @dataclass(frozen=True)
@@ -703,24 +732,44 @@ class CampaignResult:
 _BLOCK_SIZE = 256
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, read afresh on every call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def campaign_blocks(config: CampaignConfig) -> Iterator[Block]:
+    """Each block's results-file bytes and stats, in case_id order.
+
+    Blocks of `_BLOCK_SIZE` cases run in this process, or on a pool of at
+    most `config.workers` processes, one per block and per usable CPU at
+    most. The bytes and stats are the same either way, and only the
+    blocks in flight are held, so memory does not grow with the trials.
+    """
+    config.validate()
+    starts = range(0, config.trials, _BLOCK_SIZE)
+    blocks = ((config, lo, min(lo + _BLOCK_SIZE, config.trials)) for lo in starts)
+    processes = min(config.workers, len(starts), _usable_cpus())
+    if processes < 2:
+        yield from map(_run_block, blocks)
+        return
+    with multiprocessing.Pool(processes=processes) as pool:
+        yield from pool.imap(_run_block, blocks)
+
+
 def run_campaign(config: CampaignConfig) -> CampaignResult:
     """Run `config.trials` independent seeded trials, in parallel if asked.
 
     Records come back in case_id order no matter how workers schedule the
-    blocks, and rerunning the same config reproduces them exactly.
+    blocks, and rerunning the same config reproduces them exactly. Each
+    one is decoded from its results-file line, as `allz report` reads it.
     """
-    config.validate()
-    if config.workers == 1 or config.trials <= _BLOCK_SIZE:
-        records = [_execute_case(config, cid) for cid in range(config.trials)]
-    else:
-        blocks = [
-            (config, lo, min(lo + _BLOCK_SIZE, config.trials))
-            for lo in range(0, config.trials, _BLOCK_SIZE)
-        ]
-        with multiprocessing.Pool(processes=min(config.workers, len(blocks))) as pool:
-            chunks = pool.map(_run_block, blocks)
-        records = [record for chunk in chunks for record in chunk]
-    stats = compute_metrics(records)
+    records: list[TrialRecord] = []
+    stats = CampaignStats()
+    for chunk, block_stats in campaign_blocks(config):
+        records.extend(TrialRecord.from_json_dict(json.loads(line)) for line in chunk.splitlines())
+        stats = merge_stats(stats, block_stats)
     return CampaignResult(records=records, stats=stats)
 
 

@@ -12,9 +12,11 @@ verification mismatch, 2 invalid input, 3 I/O or internal error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -28,8 +30,12 @@ from .campaign import (
     CampaignStats,
     RandomStream,
     TrialRecord,
+    campaign_blocks,
     case_seed,
     compute_metrics,
+    merge_stats,
+    # Unused here, but kept: tests import them and perfbench/child.py patches them on allz.cli.
+    record_json_line,
     run_campaign,
     run_strategy,
     sample_base,
@@ -219,15 +225,6 @@ def _load_campaign_config(args: argparse.Namespace) -> CampaignConfig:
     return config
 
 
-# One compact encoder for every record: json.dumps builds a new one per
-# call whenever separators are given.
-_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
-
-def record_json_line(record: TrialRecord) -> str:
-    return _RECORD_ENCODER.encode(record.to_json_dict())
-
-
 def _stats_summary_lines(stats: CampaignStats, header: str) -> list[str]:
     lines = [header]
     lines.append(f"  trials: {stats.trials}")
@@ -253,32 +250,46 @@ def _stats_summary_lines(stats: CampaignStats, header: str) -> list[str]:
     return lines
 
 
+def _campaign_failed(out: str | None, message: str) -> int:
+    """Report a campaign cut short and remove its partial results file."""
+    # A partial file would read as a smaller campaign that ran to the end.
+    if out and os.path.isfile(out):
+        with contextlib.suppress(OSError):
+            os.remove(out)
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_IO_ERROR
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     try:
         config = _load_campaign_config(args)
     except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: invalid campaign configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    # Opened before the first case runs, so an unwritable path costs nothing.
     try:
-        result = run_campaign(config)
-    except RuntimeError as exc:
-        print(f"error: internal sampling failure: {exc}", file=sys.stderr)
+        handle = open(args.out, "wb") if args.out else None
+    except OSError as exc:
+        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                for record in result.records:
-                    handle.write(record_json_line(record))
-                    handle.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO_ERROR
+    # Each block's bytes are written as the block arrives; nothing else is kept.
+    stats = CampaignStats()
+    try:
+        with handle or contextlib.nullcontext(), contextlib.closing(campaign_blocks(config)) as blocks:
+            for chunk, block_stats in blocks:
+                if handle is not None:
+                    handle.write(chunk)
+                stats = merge_stats(stats, block_stats)
+    except RuntimeError as exc:
+        return _campaign_failed(args.out, f"internal sampling failure: {exc}")
+    except OSError as exc:
+        return _campaign_failed(args.out, f"campaign I/O failure: {exc}")
     header = (
         f"campaign: digits={config.digits} trials={config.trials} "
         f"strategy={config.strategy} base_mode={config.base_mode} "
         f"bound={config.bound} seed={config.master_seed}"
     )
-    for line in _stats_summary_lines(result.stats, header):
+    for line in _stats_summary_lines(stats, header):
         print(line)
     return EXIT_OK
 

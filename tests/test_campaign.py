@@ -1,5 +1,6 @@
 """Tests for seeded sampling, trial execution, and mergeable statistics."""
 
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -20,6 +21,7 @@ from allz.campaign import (
     Semiprime,
     TrialCase,
     TrialRecord,
+    campaign_blocks,
     case_seed,
     cochran_sample_size,
     compute_metrics,
@@ -28,6 +30,7 @@ from allz.campaign import (
     mix64,
     mix64_batch,
     random_prime,
+    record_json_line,
     run_campaign,
     run_trial,
     sample_base,
@@ -383,14 +386,58 @@ class TestCampaign:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, items):
+            def imap(self, fn, items):
                 return [fn(item) for item in items]
 
         monkeypatch.setattr(campaign, "multiprocessing", SimpleNamespace(Pool=InProcessPool))
+        monkeypatch.setattr(campaign, "_usable_cpus", lambda: 64)
         config = CampaignConfig(digits=4, trials=600, master_seed=6, workers=64)
         pooled = run_campaign(config)
         assert sizes == [3]  # 600 trials are 3 blocks of at most 256
         assert pooled.records == run_campaign(replace(config, workers=1)).records
+        # No more processes than CPUs this process may use, either.
+        monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
+        assert run_campaign(config).records == pooled.records
+        assert sizes == [3, 2]
+        # One usable CPU runs the blocks here, without a pool.
+        monkeypatch.setattr(campaign, "_usable_cpus", lambda: 1)
+        assert run_campaign(config).records == pooled.records
+        assert sizes == [3, 2]
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(campaign.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: None)
+        assert campaign._usable_cpus() == 1
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: 5)
+        assert campaign._usable_cpus() == 5
+
+    def test_first_block_streams_alone(self, monkeypatch):
+        cases = []
+        execute = campaign._execute_case
+
+        def counted(config, case_id):
+            cases.append(case_id)
+            return execute(config, case_id)
+
+        monkeypatch.setattr(campaign, "_execute_case", counted)
+        chunk, stats = next(campaign_blocks(CampaignConfig(digits=7, trials=10**6)))
+        assert cases == list(range(campaign._BLOCK_SIZE))
+        monkeypatch.setattr(campaign, "_execute_case", execute)
+        whole = run_campaign(CampaignConfig(digits=7, trials=256))
+        assert chunk == "".join(record_json_line(r) + "\n" for r in whole.records).encode()
+        assert stats == whole.stats
+
+    def test_merged_block_stats_match_decoded_records(self):
+        config = CampaignConfig(
+            digits=5, trials=600, master_seed=8, strategy="traditional", retry_limit=2
+        )
+        merged, records = CampaignStats(), []
+        for chunk, stats in campaign_blocks(config):
+            records += [TrialRecord.from_json_dict(json.loads(line)) for line in chunk.splitlines()]
+            merged = merge_stats(merged, stats)
+        assert [r.case_id for r in records] == list(range(600))
+        assert merged == compute_metrics(records)
+        assert merged.attempts_per_success_histogram.keys() > {1}  # retries ran
 
     def test_retries_only_annotate_not_rewrite(self):
         base = CampaignConfig(digits=4, trials=150, master_seed=21, strategy="traditional")

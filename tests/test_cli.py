@@ -225,15 +225,48 @@ class TestCampaignCommand:
         )
         assert code == 3
 
-    def test_sampling_budget_exhausted_exits_3(self, capsys, monkeypatch):
+    def test_sampling_budget_exhausted_exits_3(self, capsys, monkeypatch, tmp_path):
         # Case 0 of master seed 0 draws a composite first 4-digit candidate,
         # so a budget of one draw runs out on the first prime.
         monkeypatch.setattr(campaign, "_SAMPLING_CAP", 1)
-        code, out, err = run_cli(capsys, "campaign", "--digits", "7", "--trials", "1", "--seed", "0")
+        out_path = tmp_path / "r.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            "campaign", "--digits", "7", "--trials", "1", "--seed", "0", "--out", str(out_path),
+        )
         assert code == 3
         assert out == ""
         assert err.startswith("error: internal sampling failure: ")
         assert err.count("\n") == 1
+        assert not out_path.exists()  # no partial file that looks complete
+
+    def test_unwritable_output_fails_before_any_case(self, capsys, monkeypatch, tmp_path):
+        def no_case(config, case_id):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(campaign, "_execute_case", no_case)
+        code, out, err = run_cli(
+            capsys,
+            "campaign", "--digits", "4", "--trials", "600",
+            "--out", str(tmp_path / "missing" / "r.jsonl"),
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: cannot write ")
+        assert err.count("\n") == 1
+
+    def test_output_bytes_match_at_every_worker_count(self, capsys, tmp_path):
+        config = CampaignConfig(digits=5, trials=600, master_seed=9)  # 3 blocks
+        want = "".join(record_json_line(r) + "\n" for r in run_campaign(config).records)
+        for workers in (1, 2, 4):
+            out_path = tmp_path / f"w{workers}.jsonl"
+            code, _, _ = run_cli(
+                capsys,
+                "campaign", "--digits", "5", "--trials", "600", "--seed", "9",
+                "--workers", str(workers), "--out", str(out_path),
+            )
+            assert code == 0
+            assert out_path.read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize(
