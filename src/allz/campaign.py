@@ -22,16 +22,15 @@ import json
 import math
 import multiprocessing
 import os
+import struct
 import sys
-from array import array
 from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from operator import length_hint
-from typing import Any, Iterable, Iterator, Literal
+from itertools import chain, islice
+from typing import Any, Callable, Iterable, Iterator, Literal
 
-from .numtheory import _PRIME_TABLE, _TRIAL_DIVISION_LIMIT, Factorization, factorize, is_probable_prime
+from .numtheory import _PRIME_TABLE, _TRIAL_DIVISION_LIMIT, factorize, is_probable_prime
 from .period_oracle import (
     PeriodRecord,
     carmichael_exponent,
@@ -89,15 +88,16 @@ def _draw_limit(bound: int) -> int:
 
 
 @lru_cache(maxsize=16)
-def _lane_constants(k: int) -> tuple[int, int, int]:
-    """Per-lane ones, the steps i * GOLDEN (i = 1..k) and 64-bit masks, in 128-bit lanes."""
+def _lane_constants(k: int) -> tuple[int, int, int, struct.Struct]:
+    """Per-lane ones, the steps i * GOLDEN (i = 1..k) and 64-bit masks, in
+    128-bit lanes, and the unpacker of the low 64-bit word of each lane."""
     ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
     ramp = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(1, k + 1)), "little")
-    return ones, ramp * GOLDEN, ones * MASK64
+    return ones, ramp * GOLDEN, ones * MASK64, struct.Struct("<" + "Q8x" * k)
 
 
-def mix64_batch(state: int, k: int) -> list[int]:
-    """[mix64(state + i * GOLDEN) for i in 1..k], computed in one packed pass.
+def mix64_batch(state: int, k: int) -> tuple[int, ...]:
+    """mix64(state + i * GOLDEN) for i in 1..k as a tuple, computed in one packed pass.
 
     Lane i of one Python int holds the state of draw i in its low 64 bits.
     Each lane is 128 bits wide so a 64 x 64-bit product never carries into
@@ -105,23 +105,23 @@ def mix64_batch(state: int, k: int) -> list[int]:
     the bits it shifts down from the next lane are dropped before the
     following multiply.
     """
-    ones, steps, lanes = _lane_constants(k)
+    ones, steps, lanes, words = _lane_constants(k)
     x = ((state & MASK64) * ones + steps) & lanes
     x = (x ^ x >> 30) & lanes
     x = x * 0xBF58476D1CE4E5B9 & lanes
     x = (x ^ x >> 27) & lanes
     x = x * 0x94D049BB133111EB & lanes
     x = (x ^ x >> 31) & lanes
-    raw = x.to_bytes(16 * k, "little")
-    if sys.byteorder == "little":
-        return memoryview(raw).cast("Q")[::2].tolist()
-    words = array("Q", raw)
-    words.byteswap()
-    return words[::2].tolist()
+    return words.unpack(x.to_bytes(16 * k, "little"))
 
 
-_FIRST_BATCH = 32
-_LAST_BATCH = 256
+def _draw_batches(state: int) -> Iterator[tuple[int, ...]]:
+    """The draws after `state` in batches of 32, 64, 128 and then 256."""
+    k = 32
+    while True:
+        yield mix64_batch(state, k)
+        state = (state + k * GOLDEN) & MASK64
+        k = min(2 * k, 256)
 
 
 class RandomStream:
@@ -129,34 +129,21 @@ class RandomStream:
 
     Draw k is mix64(seed + k * GOLDEN). The state is a plain counter, so
     draws are computed ahead in counter-based batches by `mix64_batch`; the
-    draw sequence is exactly that of one `mix64` call per draw. The batch
-    doubles on each refill from `_FIRST_BATCH` up to `_LAST_BATCH`, so the
-    draws computed ahead never exceed those handed out by more than
-    `_FIRST_BATCH`. Bounded draws are unbiased via rejection; identical
+    draw sequence is exactly that of one `mix64` call per draw. A batch is
+    computed only once the one before is used up, and the batch size
+    doubles from 32 up to 256, so after h draws handed out at most 2h + 32
+    are computed. Bounded draws are unbiased via rejection; identical
     across platforms and Python versions, unlike the stdlib Mersenne layer.
     """
 
-    __slots__ = ("_state", "_draws", "_batch")
+    __slots__ = ("draws",)
 
     def __init__(self, seed: int) -> None:
-        # The counter of the last draw computed, not of the last one handed out.
-        self._state = seed & MASK64
-        self._draws = iter(())
-        self._batch = _FIRST_BATCH
-
-    def _refill(self) -> None:
-        """Compute the next batch of draws; only call with the current one used up."""
-        k = self._batch
-        self._draws = iter(mix64_batch(self._state, k))
-        self._state = (self._state + k * GOLDEN) & MASK64
-        if k < _LAST_BATCH:
-            self._batch = 2 * k
+        #: The raw draws not yet handed out; reading one consumes it.
+        self.draws = chain.from_iterable(_draw_batches(seed & MASK64))
 
     def next_raw(self) -> int:
-        for x in self._draws:
-            return x
-        self._refill()
-        return next(self._draws)
+        return next(self.draws)
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound)."""
@@ -246,7 +233,9 @@ class TrialRecord:
         """Decode one JSON object.
 
         KeyError or TypeError if a field is missing or mistyped; ValueError
-        if the status is neither "success" nor "failure".
+        if the status is neither "success" nor "failure", or if fields
+        contradict each other where `run_trial` and the retries derive one
+        from another.
         """
         values = {}
         for name, types in _RECORD_TYPES.items():
@@ -259,7 +248,26 @@ class TrialRecord:
         for z in failed_z:
             if type(z) is not int:
                 raise TypeError(f"record field 'failed_z' cannot hold {type(z).__name__}")
-        return cls(**values)
+        record = cls(**values)
+        n, p, q, r = record.n, record.p, record.q, record.r
+        success = record.status == "success"
+        if n != p * q or record.digits != _digit_count(n):
+            raise ValueError("record n, p, q and digits disagree")
+        if r < 0 or record.r_digits != (_digit_count(r) if r else 0):
+            raise ValueError("record r and r_digits disagree")
+        if record.r_even != (r > 0 and r % 2 == 0):
+            raise ValueError("record r and r_even disagree")
+        if record.fallback_succeeded != (record.succeeded_z == "fallback"):
+            raise ValueError("record succeeded_z and fallback_succeeded disagree")
+        if record.factor not in ((p, q) if success else (None,)):
+            raise ValueError("record factor and status disagree")
+        if record.attempts_used < 1 or record.gcd_count < 0:
+            raise ValueError("record attempts_used or gcd_count out of range")
+        if success and (not record.resolved or record.attempts_used != 1):
+            raise ValueError("a success is resolved by its first attempt")
+        if record.resolved and record.attempts_used < 2 and not success:
+            raise ValueError("a failure is resolved only by a retry")
+        return record
 
 
 # One compact encoder for every record: json.dumps builds a new one per
@@ -336,30 +344,22 @@ def random_prime(digit_count: int, rng: RandomStream) -> int:
     """A uniformly drawn prime with exactly digit_count decimal digits.
 
     The same draws and rejections as rng.randint(lo, lo + span - 1) per
-    candidate, read straight from the stream's batch. The draw budget is
-    `_SAMPLING_CAP` draws.
+    candidate, read straight from the stream's draws. The draw budget is
+    `_SAMPLING_CAP` draws, rejected ones included.
     """
     lo, span, limit, sieve = _prime_draw_params(digit_count)
-    budget = _SAMPLING_CAP
-    while True:
-        draws = rng._draws
-        left = length_hint(draws)  # exact for a list iterator: the draws not yet read
-        if left > budget:
-            draws, left = islice(draws, budget), budget
-        if sieve is not None:
-            for x in draws:
-                if x < limit and sieve[r := x % span]:
-                    return lo + r
-        else:
-            # Looked up as a module global on every use and never kept, so a
-            # wrapper swapped in for a traced run leaves with its restore.
-            for x in draws:
-                if x < limit and is_probable_prime(v := lo + x % span):
-                    return v
-        budget -= left
-        if not budget:
-            raise RuntimeError(f"no {digit_count}-digit prime found within the draw budget")
-        rng._refill()
+    draws = islice(rng.draws, _SAMPLING_CAP)
+    if sieve is not None:
+        for x in draws:
+            if x < limit and sieve[r := x % span]:
+                return lo + r
+    else:
+        # Looked up as a module global on every use and never kept, so a
+        # wrapper swapped in for a traced run leaves with its restore.
+        for x in draws:
+            if x < limit and is_probable_prime(v := lo + x % span):
+                return v
+    raise RuntimeError(f"no {digit_count}-digit prime found within the draw budget")
 
 
 def sample_semiprime(digits: int, rng: RandomStream) -> Semiprime:
@@ -419,86 +419,53 @@ def run_strategy(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-OrderHints = Factorization | tuple[Factorization, Factorization]
+def order_function(sp: Semiprime) -> Callable[[int], PeriodRecord]:
+    """The factored order of a unit mod sp.n, as a function of the unit.
 
-
-def order_hints(sp: Semiprime) -> OrderHints:
-    """The factored exponents `run_trial` reduces the order from.
-
-    lcm(p - 1, q - 1) for a modulus below `_DIRECT_ORDER_LIMIT`, otherwise
-    p - 1 and q - 1. Either way `carmichael_exponent` first checks that p
-    and q are distinct primes, without which the order mod p*q would not
-    be the lcm of the orders mod p and mod q.
+    Below `_DIRECT_ORDER_LIMIT` the order is reduced mod n from the
+    factored lcm(p - 1, q - 1); above it, mod p and mod q from the factored
+    p - 1 and q - 1, and merged by lcm (CRT). Both give the same order.
+    Either way `carmichael_exponent` first checks that p and q are distinct
+    primes, without which the order mod p*q would not be the lcm of the
+    orders mod p and mod q. The factoring is done here, once per modulus;
+    the returned function looks `multiplicative_order` up on each call.
     """
-    lam = carmichael_exponent(sp.p, sp.q)
-    if sp.n < _DIRECT_ORDER_LIMIT:
-        return factorize(lam)
-    return factorize(sp.p - 1), factorize(sp.q - 1)
+    n, p, q = sp.n, sp.p, sp.q
+    lam = carmichael_exponent(p, q)
+    if n < _DIRECT_ORDER_LIMIT:
+        hint = factorize(lam)
+        return lambda a: multiplicative_order(a, n, exponent_hint=hint)
+    hint_p, hint_q = factorize(p - 1), factorize(q - 1)
+    return lambda a: lcm_of_orders(
+        multiplicative_order(a % p, p, exponent_hint=hint_p),
+        multiplicative_order(a % q, q, exponent_hint=hint_q),
+    )
 
 
 def run_trial(
     case: TrialCase,
     strategy: StrategyName,
     bound: int | None = None,
-    exponent_hints: OrderHints | None = None,
+    order: Callable[[int], PeriodRecord] | None = None,
 ) -> TrialRecord:
     """Run one strategy attempt and fill every diagnostic field.
 
-    Deterministic function of the case. Below `_DIRECT_ORDER_LIMIT` the
-    order is reduced mod n; above it, mod p and mod q and merged by lcm
-    (CRT). Both give the same record. `exponent_hints` are the case's
-    `order_hints` when the caller already has them; otherwise they are
-    computed here when needed. Precondition violations come back as a
-    poisoned record carrying the error message.
+    Deterministic function of the case. `order` is the case modulus's
+    `order_function` when the caller already has it; otherwise it is made
+    here when needed. A precondition violation comes back as a poisoned
+    record: a failure with no order, no attempts and the error message.
     """
     sp = case.semiprime
     n, a = sp.n, case.a
-    base = dict(
-        case_id=case.case_id,
-        digits=_digit_count(n),
-        n=n,
-        p=sp.p,
-        q=sp.q,
-        a=a,
-        base_mode=case.base_mode,
-        seed=case.seed,
-        strategy=strategy,
-        bound=bound,
-    )
+    error = None
     try:
         if math.gcd(a, n) > 1:
             period = None
         else:
-            if exponent_hints is None:
-                exponent_hints = order_hints(sp)
-            if n < _DIRECT_ORDER_LIMIT:
-                period = multiplicative_order(a, n, exponent_hint=exponent_hints)
-            else:
-                hint_p, hint_q = exponent_hints
-                period = lcm_of_orders(
-                    multiplicative_order(a % sp.p, sp.p, exponent_hint=hint_p),
-                    multiplicative_order(a % sp.q, sp.q, exponent_hint=hint_q),
-                )
+            period = (order or order_function(sp))(a)
         outcome = run_strategy(strategy, n, a, period, bound)
     except ValueError as exc:
-        return TrialRecord(
-            **base,
-            status="failure",
-            factor=None,
-            r=0,
-            r_digits=0,
-            r_distinct_primes=0,
-            succeeded_z=None,
-            failed_z=(),
-            fallback_tried=False,
-            fallback_succeeded=False,
-            gcd_count=0,
-            r_even=False,
-            half_power_is_minus_one=None,
-            attempts_used=1,
-            resolved=False,
-            error=str(exc),
-        )
+        period, outcome, error = None, FactorOutcome(()), str(exc)
 
     if period is not None:
         r = period.order
@@ -510,9 +477,17 @@ def run_trial(
         r, r_digits, r_distinct, r_even, half_minus_one = 0, 0, 0, False, None
 
     succeeded_z = outcome.succeeded_z
-    success = outcome.status == "success"
     return TrialRecord(
-        **base,
+        case_id=case.case_id,
+        digits=_digit_count(n),
+        n=n,
+        p=sp.p,
+        q=sp.q,
+        a=a,
+        base_mode=case.base_mode,
+        seed=case.seed,
+        strategy=strategy,
+        bound=bound,
         status=outcome.status,
         factor=outcome.factor,
         r=r,
@@ -522,12 +497,13 @@ def run_trial(
         failed_z=outcome.failed_z,
         fallback_tried=outcome.fallback_tried,
         fallback_succeeded=succeeded_z == "fallback",
-        gcd_count=outcome.gcd_count,
+        # A poisoned record counts no gcd, not even the gcd(a, n) probe.
+        gcd_count=0 if error is not None else outcome.gcd_count,
         r_even=r_even,
         half_power_is_minus_one=half_minus_one,
         attempts_used=1,
-        resolved=success,
-        error=None,
+        resolved=outcome.status == "success",
+        error=error,
     )
 
 
@@ -671,10 +647,9 @@ def _build_case(config: CampaignConfig, case_id: int) -> TrialCase:
 
 def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
     case = _build_case(config, case_id)
-    # Every attempt on the case shares its modulus, and so the factored
-    # exponents that seed the order computation.
-    hints = order_hints(case.semiprime)
-    record = run_trial(case, config.strategy, config.bound, hints)
+    # Every attempt on the case shares its modulus, and so its order function.
+    order = order_function(case.semiprime)
+    record = run_trial(case, config.strategy, config.bound, order)
     if record.status == "success" or record.error is not None or config.retry_limit == 0:
         return record
     # Retries draw fresh bases for the same modulus from a sub-stream of
@@ -695,7 +670,7 @@ def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
         tried.add(a_next)
         attempts_used += 1
         retry_case = replace(case, a=a_next)
-        retry_record = run_trial(retry_case, config.strategy, config.bound, hints)
+        retry_record = run_trial(retry_case, config.strategy, config.bound, order)
         if retry_record.status == "success":
             resolved = True
             break

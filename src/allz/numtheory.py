@@ -76,9 +76,6 @@ class Factorization:
     def distinct_primes(self) -> tuple[int, ...]:
         return tuple(prime for prime, _ in self.entries)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.entries)
-
     def __iter__(self):
         return iter(self.entries)
 

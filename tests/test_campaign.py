@@ -77,13 +77,33 @@ class TestSeedDerivation:
     def test_mix64_batch_matches_scalar(self, seed):
         scalar = [mix64(seed + i * GOLDEN) for i in range(1, 257)]
         for k in range(1, 257):
-            assert mix64_batch(seed, k) == scalar[:k], k
+            assert mix64_batch(seed, k) == tuple(scalar[:k]), k
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_next_raw_matches_scalar_stream(self, seed):
         # 1000 draws span several refills of the batch.
         rng, ref = RandomStream(seed), ScalarStream(seed)
         assert [rng.next_raw() for _ in range(1000)] == [ref.next_raw() for _ in range(1000)]
+
+    def test_batches_double_and_stay_close_to_the_draws(self, monkeypatch):
+        sizes = []
+        batch = campaign.mix64_batch
+
+        def spy(state, k):
+            sizes.append(k)
+            return batch(state, k)
+
+        monkeypatch.setattr(campaign, "mix64_batch", spy)
+        rng, ref = RandomStream(3), ScalarStream(3)
+        for h in range(1, 2001):
+            assert rng.next_raw() == ref.next_raw()
+            assert sum(sizes) <= 2 * h + 32, h
+        assert sizes[:4] == [32, 64, 128, 256] and set(sizes[3:]) == {256}
+        # random_prime reads the same draws and computes none ahead either.
+        for _ in range(50):
+            assert random_prime(5, rng) == randint_loop_prime(5, ref)
+        assert same_next_draws(rng, ref, count=1)
+        assert sum(sizes) <= 2 * ref.drawn + 32
 
 
 class TestSamplers:
@@ -174,9 +194,11 @@ class ScalarStream:
 
     def __init__(self, seed):
         self.state = seed & MASK64
+        self.drawn = 0
 
     def next_raw(self):
         self.state = (self.state + GOLDEN) & MASK64
+        self.drawn += 1
         return mix64(self.state)
 
     def randint(self, lo, hi):
@@ -313,13 +335,28 @@ class TestOrderByPrimes:
             by_primes += sp.n >= campaign._DIRECT_ORDER_LIMIT
         assert by_primes > config.trials // 2  # run_trial mostly took the CRT path
 
-    def test_hints_follow_the_modulus_size(self):
-        small = Semiprime(n=1567 * 1621, p=1567, q=1621)
-        assert campaign.order_hints(small) == factorize(carmichael_exponent(1567, 1621))
+    def test_order_is_reduced_mod_n_or_mod_p_and_q(self, monkeypatch):
+        moduli = []
+        order = campaign.multiplicative_order
+
+        def spy(a, n, exponent_hint=None):
+            moduli.append(n)
+            return order(a, n, exponent_hint=exponent_hint)
+
+        small = make_case(1567 * 1621, 1567, 1621, 1316667)
         p, q = 999_983, 1_000_003
-        large = Semiprime(n=p * q, p=p, q=q)
-        assert large.n >= campaign._DIRECT_ORDER_LIMIT
-        assert campaign.order_hints(large) == (factorize(p - 1), factorize(q - 1))
+        large = make_case(p * q, p, q, 2)
+        assert small.semiprime.n < campaign._DIRECT_ORDER_LIMIT <= large.semiprime.n
+        # Made before the spy goes in: the order function looks the oracle
+        # up when it is called, as the benchmark's tracer needs.
+        large_order = campaign.order_function(large.semiprime)
+        monkeypatch.setattr(campaign, "multiplicative_order", spy)
+        assert run_trial(small, "allz").r == 27
+        assert moduli == [small.semiprime.n]
+        moduli.clear()
+        record = run_trial(large, "allz", order=large_order)
+        assert moduli == [p, q]
+        assert record == run_trial(large, "allz")
 
 
 class TestCampaign:
@@ -438,6 +475,40 @@ class TestCampaign:
         assert [r.case_id for r in records] == list(range(600))
         assert merged == compute_metrics(records)
         assert merged.attempts_per_success_histogram.keys() > {1}  # retries ran
+
+    def test_each_case_opens_with_its_sampling_and_runs_one_trial_per_attempt(self, monkeypatch):
+        # The benchmark's tracer counts calls from outside: a case opens with
+        # its one sample_semiprime call and the run_trial calls after it
+        # belong to it, one per attempt, retries included.
+        events = []
+        sample, trial = campaign.sample_semiprime, campaign.run_trial
+
+        def counted_sample(*args):
+            events.append(None)
+            return sample(*args)
+
+        def counted_trial(case, *args):
+            events.append(case.case_id)
+            return trial(case, *args)
+
+        monkeypatch.setattr(campaign, "sample_semiprime", counted_sample)
+        monkeypatch.setattr(campaign, "run_trial", counted_trial)
+        config = CampaignConfig(
+            digits=10, trials=60, base_mode="perfect_square", strategy="traditional",
+            master_seed=2, retry_limit=3,
+        )
+        records = run_campaign(config).records
+        assert events.count(None) == config.trials
+        cases = []
+        for event in events:
+            if event is None:
+                cases.append([])
+            else:
+                cases[-1].append(event)
+        for record, trials in zip(records, cases):
+            assert trials == [record.case_id] * record.attempts_used
+        assert max(r.attempts_used for r in records) > 1  # retries ran
+        assert max(r.n for r in records) >= campaign._DIRECT_ORDER_LIMIT  # by CRT
 
     def test_retries_only_annotate_not_rewrite(self):
         base = CampaignConfig(digits=4, trials=150, master_seed=21, strategy="traditional")

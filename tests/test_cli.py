@@ -348,6 +348,7 @@ class TestReportCommand:
 
     def test_malformed_line_reports_position(self, capsys, tmp_path, sample_records):
         good = sample_records[2].to_json_dict()
+        assert good["status"] == "success" and good["error"] is None
         for bad in (
             "{not json",
             "[1]",
@@ -357,6 +358,10 @@ class TestReportCommand:
             json.dumps({**good, "failed_z": ["3"]}),
             json.dumps({**good, "succeeded_z": 1.5}),
             json.dumps({**good, "status": "bogus"}),  # neither success nor failure
+            # Typed, but contradicting another field.
+            json.dumps({**good, "n": good["n"] + 2}),  # n != p * q
+            json.dumps({**good, "factor": 7}),  # a success by neither p nor q
+            json.dumps({**good, "gcd_count": -5, "attempts_used": 0}),
             b"\xff\xfe\x00bad",  # not UTF-8
         ):
             src = tmp_path / "broken.jsonl"
@@ -368,15 +373,16 @@ class TestReportCommand:
             assert f"{src}:3" in err
 
     def test_negative_mean_keeps_its_sign(self, capsys, tmp_path):
-        # Record ranges are not checked on load, so a negative r_digits
-        # reaches the mean: (-11 + 5 + 5) / 3 = -1/3.
+        # A negative r_digits would give the mean (-11 + 5 + 5) / 3 = -1/3,
+        # but the record contradicts its r and is rejected on load.
         records = run_campaign(CampaignConfig(digits=5, trials=10, master_seed=1)).records
         with_order = [r for r in records if r.error is None and r.r > 0][:3]
         src = tmp_path / "r.jsonl"
         write_jsonl(src, [replace(r, r_digits=d) for r, d in zip(with_order, (-11, 5, 5))])
-        code, out, _ = run_cli(capsys, "report", "--in", str(src))
-        assert code == 0
-        assert "  mean r digits: -0.333333" in out.splitlines()
+        code, out, err = run_cli(capsys, "report", "--in", str(src))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {src}:1: malformed record line\n"
 
     def test_missing_input_exits_3(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "report", "--in", str(tmp_path / "nope.jsonl"))

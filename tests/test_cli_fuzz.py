@@ -136,13 +136,37 @@ def same_json_type(value):
     return st.none()
 
 
+def contradicting_field(record):
+    """(field, value) pairs of the field's JSON type that contradict another field."""
+    n, p, q, r = record["n"], record["p"], record["q"], record["r"]
+    success = record["status"] == "success"
+    pairs = [
+        st.integers().filter(lambda v: v != n).map(lambda v: ("n", v)),
+        st.integers().filter(lambda v: v != len(str(n))).map(lambda v: ("digits", v)),
+        st.integers(max_value=-1).map(lambda v: ("r", v)),
+        st.integers().filter(lambda v: v != (len(str(r)) if r else 0)).map(lambda v: ("r_digits", v)),
+        st.just(("r_even", not record["r_even"])),
+        st.just(("fallback_succeeded", not record["fallback_succeeded"])),
+        st.integers().filter(lambda v: not success or v not in (p, q)).map(lambda v: ("factor", v)),
+        st.integers(max_value=0).map(lambda v: ("attempts_used", v)),
+        st.integers(max_value=-1).map(lambda v: ("gcd_count", v)),
+    ]
+    if success or record["attempts_used"] == 1:
+        pairs.append(st.just(("resolved", not record["resolved"])))
+    return st.one_of(pairs)
+
+
+CONTRADICTIONS = st.integers(0, len(RECORDS) - 1).flatmap(
+    lambda index: contradicting_field(RECORDS[index]).map(lambda pair: (index, *pair))
+)
+
 MUTATIONS = st.tuples(st.integers(0, len(RECORDS) - 1), st.sampled_from(FIELDS)).flatmap(
     lambda pick: st.tuples(
         st.just(pick[0]),
         st.just(pick[1]),
         JSON_VALUES | same_json_type(RECORDS[pick[0]][pick[1]]),
     )
-)
+) | CONTRADICTIONS
 
 
 @settings(max_examples=150, deadline=None)
@@ -156,6 +180,24 @@ def test_record_with_one_field_replaced_exits_cleanly(workdir, mutation, report_
     src.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = workdir / "mutated.out"
     assert_clean_exit(["report", "--in", str(src), "--format", report_format, "--out", str(out)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=CONTRADICTIONS)
+def test_record_contradicting_itself_is_rejected(workdir, mutation):
+    index, name, value = mutation
+    lines = [json.dumps(record, separators=(",", ":")) for record in RECORDS]
+    lines[index] = json.dumps({**RECORDS[index], name: value}, separators=(",", ":"))
+    src = workdir / "contradicting.jsonl"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, err = run_main(["report", "--in", str(src)])
+    assert (code, err) == (2, f"error: {src}:{index + 1}: malformed record line\n"), mutation
+
+
+def test_records_hold_successes_and_failures():
+    # So the contradictions above cover both statuses and retries.
+    assert {record["status"] for record in RECORDS} == {"success", "failure"}
+    assert max(record["attempts_used"] for record in RECORDS) == 2
 
 
 @settings(max_examples=100, deadline=None)

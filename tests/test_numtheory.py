@@ -98,8 +98,8 @@ class TestPerfectSquareRoot:
 
 class TestFactorize:
     def test_examples(self):
-        assert factorize(108).as_dict() == {2: 2, 3: 3}
-        assert factorize(46).as_dict() == {2: 1, 23: 1}
+        assert factorize(108).entries == ((2, 2), (3, 3))
+        assert factorize(46).entries == ((2, 1), (23, 1))
         assert factorize(1).entries == ()
 
     def test_rejects_zero(self):
@@ -116,15 +116,15 @@ class TestFactorize:
 
     def test_rho_path_on_semiprime_beyond_trial_division(self):
         f = factorize(10007 * 10009)
-        assert f.as_dict() == {10007: 1, 10009: 1}
+        assert f.entries == ((10007, 1), (10009, 1))
 
     def test_rho_path_on_prime_power(self):
         f = factorize(10007**2 * 3)
-        assert f.as_dict() == {3: 1, 10007: 2}
+        assert f.entries == ((3, 1), (10007, 2))
 
     def test_large_prime(self):
         m61 = (1 << 61) - 1
-        assert factorize(m61).as_dict() == {m61: 1}
+        assert factorize(m61).entries == ((m61, 1),)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(min_value=1, max_value=10**12))
