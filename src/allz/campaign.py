@@ -233,7 +233,7 @@ class TrialRecord:
         """Decode one JSON object.
 
         KeyError or TypeError if a field is missing or mistyped; ValueError
-        if the status is neither "success" nor "failure", or if fields
+        if a value is outside its vocabulary or range, or if fields
         contradict each other where `run_trial` and the retries derive one
         from another.
         """
@@ -242,27 +242,35 @@ class TrialRecord:
             values[name] = value = data[name]
             if type(value) not in types:
                 raise TypeError(f"record field {name!r} cannot be {type(value).__name__}")
-        if values["status"] not in ("success", "failure"):
-            raise ValueError(f"record status cannot be {values['status']!r}")
         failed_z = values["failed_z"] = tuple(values["failed_z"])
         for z in failed_z:
             if type(z) is not int:
                 raise TypeError(f"record field 'failed_z' cannot hold {type(z).__name__}")
         record = cls(**values)
-        n, p, q, r = record.n, record.p, record.q, record.r
+        n, p, q, r, z = record.n, record.p, record.q, record.r, record.succeeded_z
+        if record.strategy not in STRATEGIES or record.base_mode not in BASE_MODES:
+            raise ValueError("record strategy or base_mode is unknown")
+        if type(z) is str and z not in ("fallback", "shortcut"):
+            raise ValueError(f"record succeeded_z cannot be {z!r}")
+        if record.bound is not None and record.bound < 2:
+            raise ValueError("record bound is below 2")
+        if n != p * q or r < 0:
+            raise ValueError("record n is not p * q, or r is negative")
+        if _dependent_fields(n, r, z) != (
+            record.digits, record.status, record.r_digits, record.r_even, record.fallback_succeeded
+        ):
+            raise ValueError("record fields disagree with their n, r and succeeded_z")
+        if (record.half_power_is_minus_one is None) == record.r_even:
+            raise ValueError("record half_power_is_minus_one is null exactly when r is not even")
         success = record.status == "success"
-        if n != p * q or record.digits != _digit_count(n):
-            raise ValueError("record n, p, q and digits disagree")
-        if r < 0 or record.r_digits != (_digit_count(r) if r else 0):
-            raise ValueError("record r and r_digits disagree")
-        if record.r_even != (r > 0 and r % 2 == 0):
-            raise ValueError("record r and r_even disagree")
-        if record.fallback_succeeded != (record.succeeded_z == "fallback"):
-            raise ValueError("record succeeded_z and fallback_succeeded disagree")
         if record.factor not in ((p, q) if success else (None,)):
             raise ValueError("record factor and status disagree")
-        if record.attempts_used < 1 or record.gcd_count < 0:
+        # Only a poisoned record (error set) counts no gcd; it has no order or success.
+        poisoned = record.error is not None
+        if record.attempts_used < 1 or record.gcd_count < 0 or (record.gcd_count == 0) != poisoned:
             raise ValueError("record attempts_used or gcd_count out of range")
+        if poisoned and (r != 0 or z is not None):
+            raise ValueError("a poisoned record has an order or a success")
         if success and (not record.resolved or record.attempts_used != 1):
             raise ValueError("a success is resolved by its first attempt")
         if record.resolved and record.attempts_used < 2 and not success:
@@ -278,6 +286,13 @@ _RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
 def record_json_line(record: TrialRecord) -> str:
     """One results-file line of the record, without its line end."""
     return _RECORD_ENCODER.encode(record.to_json_dict())
+
+
+def record_from_json_line(line: bytes) -> TrialRecord:
+    """The record of one results-file line. The bytes are decoded here, so a
+    line that is not UTF-8 fails like any other malformed or blank line:
+    with ValueError, KeyError or TypeError, as `TrialRecord.from_json_dict`."""
+    return TrialRecord.from_json_dict(json.loads(line.decode("utf-8").strip()))
 
 
 # The JSON value types each record field accepts, read off its annotation
@@ -324,6 +339,23 @@ class CampaignConfig:
 
 def _digit_count(x: int) -> int:
     return len(str(x))
+
+
+def _dependent_fields(n: int, r: int, z: int | str | None) -> tuple[int, str, int, bool, bool]:
+    """digits, status, r_digits, r_even and fallback_succeeded of a record with
+    this n, order r (0 when none was found) and succeeded_z (null on failure)."""
+    return (
+        _digit_count(n),
+        "failure" if z is None else "success",
+        _digit_count(r) if r else 0,
+        r > 0 and r % 2 == 0,
+        z == "fallback",
+    )
+
+
+def ratio(numerator: int, denominator: int) -> Fraction:
+    """numerator / denominator exactly; the empty ratio 0/0 is 0."""
+    return Fraction(numerator, denominator) if denominator else Fraction(0)
 
 
 @lru_cache(maxsize=16)
@@ -467,19 +499,12 @@ def run_trial(
     except ValueError as exc:
         period, outcome, error = None, FactorOutcome(()), str(exc)
 
-    if period is not None:
-        r = period.order
-        r_digits = _digit_count(r)
-        r_distinct = len(period.factors.entries)
-        r_even = r % 2 == 0
-        half_minus_one = pow(a, r // 2, n) == n - 1 if r_even else None
-    else:
-        r, r_digits, r_distinct, r_even, half_minus_one = 0, 0, 0, False, None
-
+    r, r_distinct = (0, 0) if period is None else (period.order, len(period.factors.entries))
     succeeded_z = outcome.succeeded_z
+    digits, status, r_digits, r_even, fallback_succeeded = _dependent_fields(n, r, succeeded_z)
     return TrialRecord(
         case_id=case.case_id,
-        digits=_digit_count(n),
+        digits=digits,
         n=n,
         p=sp.p,
         q=sp.q,
@@ -488,7 +513,7 @@ def run_trial(
         seed=case.seed,
         strategy=strategy,
         bound=bound,
-        status=outcome.status,
+        status=status,
         factor=outcome.factor,
         r=r,
         r_digits=r_digits,
@@ -496,13 +521,13 @@ def run_trial(
         succeeded_z=succeeded_z,
         failed_z=outcome.failed_z,
         fallback_tried=outcome.fallback_tried,
-        fallback_succeeded=succeeded_z == "fallback",
+        fallback_succeeded=fallback_succeeded,
         # A poisoned record counts no gcd, not even the gcd(a, n) probe.
         gcd_count=0 if error is not None else outcome.gcd_count,
         r_even=r_even,
-        half_power_is_minus_one=half_minus_one,
+        half_power_is_minus_one=pow(a, r // 2, n) == n - 1 if r_even else None,
         attempts_used=1,
-        resolved=outcome.status == "success",
+        resolved=status == "success",
         error=error,
     )
 
@@ -559,28 +584,19 @@ class CampaignStats:
 
     @property
     def success_rate(self) -> Fraction:
-        if self.trials == 0:
-            return Fraction(0)
-        return Fraction(self.successes, self.trials)
+        return ratio(self.successes, self.trials)
 
     @property
     def mean_gcd_count(self) -> Fraction:
-        if self.trials == 0:
-            return Fraction(0)
-        total = sum(k * v for k, v in self.gcd_count_histogram.items())
-        return Fraction(total, self.trials)
+        return ratio(sum(k * v for k, v in self.gcd_count_histogram.items()), self.trials)
 
     @property
     def mean_r_digits(self) -> Fraction:
-        if self.r_count == 0:
-            return Fraction(0)
-        return Fraction(self.r_digits_sum, self.r_count)
+        return ratio(self.r_digits_sum, self.r_count)
 
     @property
     def mean_r_distinct_primes(self) -> Fraction:
-        if self.r_count == 0:
-            return Fraction(0)
-        return Fraction(self.r_distinct_primes_sum, self.r_count)
+        return ratio(self.r_distinct_primes_sum, self.r_count)
 
     def absorb(self, record: TrialRecord) -> None:
         """Fold one record in; shared by streaming and recomputation paths."""
@@ -743,7 +759,7 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     records: list[TrialRecord] = []
     stats = CampaignStats()
     for chunk, block_stats in campaign_blocks(config):
-        records.extend(TrialRecord.from_json_dict(json.loads(line)) for line in chunk.splitlines())
+        records.extend(map(record_from_json_line, chunk.splitlines()))
         stats = merge_stats(stats, block_stats)
     return CampaignResult(records=records, stats=stats)
 

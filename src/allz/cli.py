@@ -34,6 +34,8 @@ from .campaign import (
     case_seed,
     compute_metrics,
     merge_stats,
+    ratio,
+    record_from_json_line,
     # Unused here, but kept: tests import them and perfbench/child.py patches them on allz.cli.
     record_json_line,
     run_campaign,
@@ -68,9 +70,7 @@ def _fixed6(value: Fraction) -> str:
 
 
 def _rate(numerator: int, denominator: int) -> str:
-    if denominator == 0:
-        return "0/0 (0.000000)"
-    return f"{numerator}/{denominator} ({_fixed6(Fraction(numerator, denominator))})"
+    return f"{numerator}/{denominator} ({_fixed6(ratio(numerator, denominator))})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,14 +297,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _load_records(paths: Iterable[str]) -> list[TrialRecord]:
     records = []
     for path in paths:
-        # Binary lines decoded one by one, so a byte that is not UTF-8 is
-        # reported with its line like any other malformed record (a blank
-        # line fails json.loads).
         with open(path, "rb") as handle:
             for lineno, line in enumerate(handle, start=1):
                 try:
-                    data = json.loads(line.decode("utf-8").strip())
-                    records.append(TrialRecord.from_json_dict(data))
+                    records.append(record_from_json_line(line))
                 except (ValueError, KeyError, TypeError) as exc:
                     raise _MalformedLine(path, lineno) from exc
     return records
@@ -329,7 +325,7 @@ def _per_digit_table(records: list[TrialRecord]) -> dict[str, dict[str, dict[str
         table.setdefault(str(digits), {})[strategy] = {
             "trials": trials,
             "successes": successes,
-            "rate": _fixed6(Fraction(successes, trials)) if trials else "0.000000",
+            "rate": _fixed6(Fraction(successes, trials)),
         }
     return table
 
@@ -362,7 +358,7 @@ def _json_report(
             "even_r_count": even,
             "half_power_minus_one_count": stats.half_power_minus_one_count,
             "half_power_minus_one_given_even_r": _fixed6(
-                Fraction(stats.half_power_minus_one_count, even) if even else Fraction(0)
+                ratio(stats.half_power_minus_one_count, even)
             ),
         },
         "failures_by_reason": dict(sorted(stats.failures_by_reason.items())),

@@ -1,6 +1,5 @@
 """Tests for seeded sampling, trial execution, and mergeable statistics."""
 
-import json
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -30,6 +29,7 @@ from allz.campaign import (
     mix64,
     mix64_batch,
     random_prime,
+    record_from_json_line,
     record_json_line,
     run_campaign,
     run_trial,
@@ -470,7 +470,7 @@ class TestCampaign:
         )
         merged, records = CampaignStats(), []
         for chunk, stats in campaign_blocks(config):
-            records += [TrialRecord.from_json_dict(json.loads(line)) for line in chunk.splitlines()]
+            records += map(record_from_json_line, chunk.splitlines())
             merged = merge_stats(merged, stats)
         assert [r.case_id for r in records] == list(range(600))
         assert merged == compute_metrics(records)

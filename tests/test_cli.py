@@ -12,7 +12,13 @@ import pytest
 
 import allz
 from allz import campaign
-from allz.campaign import CampaignConfig, TrialRecord, compute_metrics, run_campaign
+from allz.campaign import (
+    CampaignConfig,
+    TrialRecord,
+    compute_metrics,
+    record_from_json_line,
+    run_campaign,
+)
 from allz.cli import _fixed6, main, record_json_line
 
 SRC_DIR = os.path.dirname(os.path.dirname(allz.__file__))
@@ -169,9 +175,9 @@ class TestCampaignCommand:
         )
         assert code == 0
         assert "success rate:" in out
-        lines = out_path.read_text().splitlines()
+        lines = out_path.read_bytes().splitlines()
         assert len(lines) == 50
-        records = [TrialRecord.from_json_dict(json.loads(line)) for line in lines]
+        records = [record_from_json_line(line) for line in lines]
         assert [r.case_id for r in records] == list(range(50))
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
@@ -349,6 +355,13 @@ class TestReportCommand:
     def test_malformed_line_reports_position(self, capsys, tmp_path, sample_records):
         good = sample_records[2].to_json_dict()
         assert good["status"] == "success" and good["error"] is None
+        odd = sample_records[0].to_json_dict()
+        assert odd["r"] % 2 == 1 and odd["half_power_is_minus_one"] is None
+        # A real poisoned record: the base 22 is not below n = 21.
+        case = campaign.TrialCase(2, campaign.Semiprime(21, 3, 7), 22, "random", 0)
+        poisoned = campaign.run_trial(case, "allz").to_json_dict()
+        assert TrialRecord.from_json_dict(poisoned).error is not None
+        shortcut = {"status": "success", "factor": 3, "succeeded_z": "shortcut", "resolved": True}
         for bad in (
             "{not json",
             "[1]",
@@ -362,6 +375,20 @@ class TestReportCommand:
             json.dumps({**good, "n": good["n"] + 2}),  # n != p * q
             json.dumps({**good, "factor": 7}),  # a success by neither p nor q
             json.dumps({**good, "gcd_count": -5, "attempts_used": 0}),
+            json.dumps({**good, "succeeded_z": None}),  # a success with no witness
+            json.dumps({**odd, "half_power_is_minus_one": True}),  # r is odd
+            # Out of vocabulary or range.
+            json.dumps({**good, "strategy": "banana"}),
+            json.dumps({**good, "base_mode": "banana"}),
+            json.dumps({**good, "succeeded_z": "banana"}),
+            json.dumps({**good, "bound": 1}),
+            # gcd_count is 0 exactly on a poisoned record, which has no order
+            # and no success.
+            json.dumps({**good, "gcd_count": 0}),
+            json.dumps({**good, "error": "boom"}),
+            json.dumps({**poisoned, "gcd_count": 1}),
+            json.dumps({**poisoned, **shortcut}),
+            json.dumps({**poisoned, "r": 7, "r_digits": 1}),
             b"\xff\xfe\x00bad",  # not UTF-8
         ):
             src = tmp_path / "broken.jsonl"

@@ -140,6 +140,7 @@ def contradicting_field(record):
     """(field, value) pairs of the field's JSON type that contradict another field."""
     n, p, q, r = record["n"], record["p"], record["q"], record["r"]
     success = record["status"] == "success"
+    poisoned = record["error"] is not None
     pairs = [
         st.integers().filter(lambda v: v != n).map(lambda v: ("n", v)),
         st.integers().filter(lambda v: v != len(str(n))).map(lambda v: ("digits", v)),
@@ -149,8 +150,18 @@ def contradicting_field(record):
         st.just(("fallback_succeeded", not record["fallback_succeeded"])),
         st.integers().filter(lambda v: not success or v not in (p, q)).map(lambda v: ("factor", v)),
         st.integers(max_value=0).map(lambda v: ("attempts_used", v)),
-        st.integers(max_value=-1).map(lambda v: ("gcd_count", v)),
+        # gcd_count is 0 exactly on a poisoned record, one with an error.
+        st.integers().filter(lambda v: v < 0 or (v == 0) != poisoned).map(lambda v: ("gcd_count", v)),
+        st.text().filter(lambda v: v not in STRATEGIES).map(lambda v: ("strategy", v)),
+        st.text().filter(lambda v: v not in BASE_MODES).map(lambda v: ("base_mode", v)),
+        st.text().filter(lambda v: v not in ("fallback", "shortcut")).map(lambda v: ("succeeded_z", v)),
+        st.integers(max_value=1).map(lambda v: ("bound", v)),
+        st.just(("half_power_is_minus_one", None if record["r_even"] else True)),
     ]
+    if not poisoned:
+        pairs.append(st.text().map(lambda v: ("error", v)))
+    if success:
+        pairs.append(st.just(("succeeded_z", None)))
     if success or record["attempts_used"] == 1:
         pairs.append(st.just(("resolved", not record["resolved"])))
     return st.one_of(pairs)
