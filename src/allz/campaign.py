@@ -30,7 +30,7 @@ from functools import lru_cache
 from itertools import chain, islice
 from typing import Any, Callable, Iterable, Iterator, Literal
 
-from .numtheory import _PRIME_TABLE, _TRIAL_DIVISION_LIMIT, factorize, is_probable_prime
+from .numtheory import _SMALL_PRIMES, factorize, is_probable_prime
 from .period_oracle import (
     PeriodRecord,
     carmichael_exponent,
@@ -43,6 +43,10 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _RETRY_SALT = 0x5DEECE66D
 _SAMPLING_CAP = 1_000_000
+# A prime class whose primes lie below this is drawn by sieve lookup. That is
+# every class a campaign draws (at most 12 digits, so primes of at most 6);
+# the 6-digit class sieve is 0.86 MiB, and a 7-digit one would be 8.6 MiB.
+_CLASS_SIEVE_LIMIT = 10**6
 # Below this a modulus is one CPython digit, and reducing the order mod n
 # directly costs less than two reductions and an lcm. Above it, reducing
 # mod p and mod q works on one-digit operands instead of several.
@@ -243,11 +247,14 @@ class TrialRecord:
             if type(value) not in types:
                 raise TypeError(f"record field {name!r} cannot be {type(value).__name__}")
         failed_z = values["failed_z"] = tuple(values["failed_z"])
+        r = values["r"]
         for z in failed_z:
             if type(z) is not int:
                 raise TypeError(f"record field 'failed_z' cannot hold {type(z).__name__}")
+            if z < 2 or r % z:
+                raise ValueError("record failed_z holds no divisor >= 2 of r")
         record = cls(**values)
-        n, p, q, r, z = record.n, record.p, record.q, record.r, record.succeeded_z
+        n, p, q, z = record.n, record.p, record.q, record.succeeded_z
         if record.strategy not in STRATEGIES or record.base_mode not in BASE_MODES:
             raise ValueError("record strategy or base_mode is unknown")
         if type(z) is str and z not in ("fallback", "shortcut"):
@@ -262,15 +269,28 @@ class TrialRecord:
             raise ValueError("record fields disagree with their n, r and succeeded_z")
         if (record.half_power_is_minus_one is None) == record.r_even:
             raise ValueError("record half_power_is_minus_one is null exactly when r is not even")
+        # k distinct primes of r > 1 make r at least the product of the first
+        # k primes, and so k <= r.bit_length(); checking that first keeps the
+        # product small.
+        distinct = record.r_distinct_primes
+        if not (
+            1 <= distinct <= r.bit_length() and math.prod(_SMALL_PRIMES[:distinct]) <= r
+            if r > 1
+            else distinct == 0
+        ):
+            raise ValueError("record r_distinct_primes is out of range for its r")
+        if type(z) is int and (z < 2 or r % z):
+            raise ValueError("record succeeded_z is no divisor >= 2 of r")
         success = record.status == "success"
         if record.factor not in ((p, q) if success else (None,)):
             raise ValueError("record factor and status disagree")
-        # Only a poisoned record (error set) counts no gcd; it has no order or success.
+        # Only a poisoned record (error set) counts no gcd; it has no order,
+        # success or attempt.
         poisoned = record.error is not None
         if record.attempts_used < 1 or record.gcd_count < 0 or (record.gcd_count == 0) != poisoned:
             raise ValueError("record attempts_used or gcd_count out of range")
-        if poisoned and (r != 0 or z is not None):
-            raise ValueError("a poisoned record has an order or a success")
+        if poisoned and (r != 0 or z is not None or failed_z or record.fallback_tried):
+            raise ValueError("a poisoned record has an order, a success or an attempt")
         if success and (not record.resolved or record.attempts_used != 1):
             raise ValueError("a success is resolved by its first attempt")
         if record.resolved and record.attempts_used < 2 and not success:
@@ -358,17 +378,42 @@ def ratio(numerator: int, denominator: int) -> Fraction:
     return Fraction(numerator, denominator) if denominator else Fraction(0)
 
 
-@lru_cache(maxsize=16)
-def _prime_draw_params(digit_count: int) -> tuple[int, int, int, bytes | None]:
-    """lo, span and rejection limit of a digit class, and its sieve if below 10**4.
+def _class_sieve(lo: int, span: int) -> bytearray:
+    """Sieve of [lo, lo + span): entry i is 1 exactly when lo + i is prime.
 
-    Entry r of the sieve is 1 exactly when lo + r is prime.
+    A segmented sieve (Bays and Hudson, 1977) over that window alone: every
+    entry starts set, the entries below 2 are cleared, and each prime p with
+    p * p < lo + span strikes its multiples from max(p * p, the first
+    multiple >= lo). `_SMALL_PRIMES` holds every prime below 10**4, so the
+    sieve is exact for lo + span <= 10**8.
+    """
+    hi = lo + span
+    sieve = bytearray([1]) * span
+    if lo < 2:
+        sieve[: 2 - lo] = bytes(2 - lo)
+    for p in _SMALL_PRIMES:
+        if p * p >= hi:
+            break
+        start = max(p * p, -(-lo // p) * p) - lo
+        sieve[start::p] = bytes(len(range(start, span, p)))
+    return sieve
+
+
+@lru_cache(maxsize=16)
+def _prime_draw_params(digit_count: int) -> tuple[int, int, int, bytearray | None]:
+    """lo, span and rejection limit of a digit class, and its sieve if below
+    `_CLASS_SIEVE_LIMIT` (see `_class_sieve`).
+
+    Built on a class's first draw, so importing the package builds no sieve.
+    The cache hands every caller the same sieve, so callers only read it: a
+    read-only copy would double the build's peak memory, and a read-only
+    view makes each lookup slower.
     """
     if digit_count < 1:
         raise ValueError("digit count must be >= 1")
     lo = 10 ** (digit_count - 1)
     span = 10**digit_count - lo
-    sieve = bytes(_PRIME_TABLE[lo : lo + span]) if lo + span <= _TRIAL_DIVISION_LIMIT else None
+    sieve = _class_sieve(lo, span) if lo + span <= _CLASS_SIEVE_LIMIT else None
     return lo, span, _draw_limit(span), sieve
 
 
@@ -377,7 +422,9 @@ def random_prime(digit_count: int, rng: RandomStream) -> int:
 
     The same draws and rejections as rng.randint(lo, lo + span - 1) per
     candidate, read straight from the stream's draws. The draw budget is
-    `_SAMPLING_CAP` draws, rejected ones included.
+    `_SAMPLING_CAP` draws, rejected ones included. Classes below
+    `_CLASS_SIEVE_LIMIT` (every class a campaign draws) test a candidate by
+    sieve lookup; longer ones by `is_probable_prime`.
     """
     lo, span, limit, sieve = _prime_draw_params(digit_count)
     draws = islice(rng.draws, _SAMPLING_CAP)

@@ -122,7 +122,7 @@ class TestSamplers:
     def test_random_prime_replays_with_seed(self):
         assert random_prime(4, RandomStream(99)) == random_prime(4, RandomStream(99))
 
-    @pytest.mark.parametrize("digits", range(1, 7))
+    @pytest.mark.parametrize("digits", range(1, 8))
     def test_random_prime_matches_randint_loop(self, digits):
         for seed in range(40):
             fast, ref = RandomStream(seed), ScalarStream(seed)

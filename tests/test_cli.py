@@ -121,6 +121,19 @@ class TestInputBoundary:
         assert proc.stderr.count("\n") == 1
 
 
+def test_import_builds_no_class_sieve():
+    # Every CLI call pays the import; a prime class's sieve waits for its first draw.
+    code = "import allz.cli; print(allz.campaign._prime_draw_params.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+
+
 class TestRhoExhaustion:
     """A factorization that rho gives up on ends in one error line, exit 3."""
 
@@ -354,7 +367,7 @@ class TestReportCommand:
 
     def test_malformed_line_reports_position(self, capsys, tmp_path, sample_records):
         good = sample_records[2].to_json_dict()
-        assert good["status"] == "success" and good["error"] is None
+        assert good["status"] == "success" and good["error"] is None and good["r"] == 792
         odd = sample_records[0].to_json_dict()
         assert odd["r"] % 2 == 1 and odd["half_power_is_minus_one"] is None
         # A real poisoned record: the base 22 is not below n = 21.
@@ -362,6 +375,8 @@ class TestReportCommand:
         poisoned = campaign.run_trial(case, "allz").to_json_dict()
         assert TrialRecord.from_json_dict(poisoned).error is not None
         shortcut = {"status": "success", "factor": 3, "succeeded_z": "shortcut", "resolved": True}
+        five = run_campaign(CampaignConfig(digits=5, trials=1, master_seed=0)).records[0].to_json_dict()
+        assert (five["r"], five["r_distinct_primes"]) == (33998, 3)  # 2 * 89 * 191
         for bad in (
             "{not json",
             "[1]",
@@ -389,6 +404,19 @@ class TestReportCommand:
             json.dumps({**poisoned, "gcd_count": 1}),
             json.dumps({**poisoned, **shortcut}),
             json.dumps({**poisoned, "r": 7, "r_digits": 1}),
+            json.dumps({**poisoned, "failed_z": [2]}),
+            json.dumps({**poisoned, "fallback_tried": True}),
+            # r_distinct_primes is 0 exactly when r <= 1, and k distinct primes
+            # of r make r at least 2 * 3 * ... * p_k.
+            json.dumps({**poisoned, "r_distinct_primes": 1}),
+            json.dumps({**good, "r_distinct_primes": 0}),
+            json.dumps({**good, "r_distinct_primes": good["r"].bit_length() + 1}),
+            json.dumps({**five, "r_distinct_primes": 9}),  # 2 * 3 * ... * 23 > 33998
+            # succeeded_z and failed_z hold divisors >= 2 of r = 792.
+            json.dumps({**good, "succeeded_z": 5}),
+            json.dumps({**good, "succeeded_z": 1}),
+            json.dumps({**good, "failed_z": [3, 7]}),
+            json.dumps({**good, "failed_z": [0]}),
             b"\xff\xfe\x00bad",  # not UTF-8
         ):
             src = tmp_path / "broken.jsonl"

@@ -157,8 +157,19 @@ def contradicting_field(record):
         st.text().filter(lambda v: v not in ("fallback", "shortcut")).map(lambda v: ("succeeded_z", v)),
         st.integers(max_value=1).map(lambda v: ("bound", v)),
         st.just(("half_power_is_minus_one", None if record["r_even"] else True)),
+        # r_distinct_primes is 0 exactly when r <= 1, and at most r.bit_length().
+        st.integers()
+        .filter(lambda v: not 0 <= v <= r.bit_length() or (v == 0) != (r <= 1))
+        .map(lambda v: ("r_distinct_primes", v)),
+        # succeeded_z and each failed_z entry are divisors >= 2 of r.
+        st.integers().filter(lambda v: v < 2 or r % v).map(lambda v: ("succeeded_z", v)),
+        st.integers()
+        .filter(lambda v: v < 2 or r % v)
+        .map(lambda v: ("failed_z", [*record["failed_z"], v])),
     ]
-    if not poisoned:
+    if poisoned:
+        pairs.append(st.just(("fallback_tried", True)))
+    else:
         pairs.append(st.text().map(lambda v: ("error", v)))
     if success:
         pairs.append(st.just(("succeeded_z", None)))

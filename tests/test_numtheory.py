@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allz.campaign import _prime_draw_params
 from allz.numtheory import (
     Factorization,
     _SMALL_PRIMES,
@@ -199,8 +200,13 @@ class TestDistinctPrimesBounded:
 
 
 @functools.cache
+def sieve_to_1m():
+    return naive_sieve(10**6)
+
+
+@functools.cache
 def primes_to_1m():
-    flags = naive_sieve(10**6)
+    flags = sieve_to_1m()
     return [i for i in range(10**6 + 1) if flags[i]]
 
 
@@ -226,3 +232,9 @@ def plain_trial_division(x, bound):
 def test_small_prime_table_is_complete():
     flags = naive_sieve(10_000)
     assert list(_SMALL_PRIMES) == [i for i in range(10_001) if flags[i]]
+
+
+@pytest.mark.parametrize("digit_count", range(1, 7))
+def test_class_sieves_are_exact(digit_count):
+    lo, span, _, sieve = _prime_draw_params(digit_count)
+    assert sieve == sieve_to_1m()[lo : lo + span]
