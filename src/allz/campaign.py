@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
+from operator import contains, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Literal
 
 from .numtheory import _SMALL_PRIMES, factorize, is_probable_prime
@@ -241,38 +242,39 @@ class TrialRecord:
         contradict each other where `run_trial` and the retries derive one
         from another.
         """
-        values = {}
-        for name, types in _RECORD_TYPES.items():
-            values[name] = value = data[name]
-            if type(value) not in types:
-                raise TypeError(f"record field {name!r} cannot be {type(value).__name__}")
-        failed_z = values["failed_z"] = tuple(values["failed_z"])
-        r = values["r"]
-        for z in failed_z:
-            if type(z) is not int:
-                raise TypeError(f"record field 'failed_z' cannot hold {type(z).__name__}")
-            if z < 2 or r % z:
+        values = list(_record_values(data))
+        # One pass over every field's type; the fields are walked one by one
+        # only to name the first mistyped one.
+        if not all(map(contains, _RECORD_TYPES, map(type, values))):
+            for name, types, value in zip(_RECORD_FIELDS, _RECORD_TYPES, values):
+                if type(value) not in types:
+                    raise TypeError(f"record field {name!r} cannot be {type(value).__name__}")
+        (
+            _, digits, n, p, q, a, base_mode, _, strategy, bound, status, factor, r, r_digits,
+            distinct, z, failed_z, fallback_tried, fallback_succeeded, gcd_count, r_even,
+            half_power_is_minus_one, attempts_used, resolved, error,
+        ) = values
+        failed_z = values[_FAILED_Z_INDEX] = tuple(failed_z)
+        for divisor in failed_z:
+            if type(divisor) is not int:
+                raise TypeError(f"record field 'failed_z' cannot hold {type(divisor).__name__}")
+            if divisor < 2 or r % divisor:
                 raise ValueError("record failed_z holds no divisor >= 2 of r")
-        record = cls(**values)
-        n, p, q, z = record.n, record.p, record.q, record.succeeded_z
-        if record.strategy not in STRATEGIES or record.base_mode not in BASE_MODES:
+        if strategy not in STRATEGIES or base_mode not in BASE_MODES:
             raise ValueError("record strategy or base_mode is unknown")
         if type(z) is str and z not in ("fallback", "shortcut"):
             raise ValueError(f"record succeeded_z cannot be {z!r}")
-        if record.bound is not None and record.bound < 2:
+        if bound is not None and bound < 2:
             raise ValueError("record bound is below 2")
         if n != p * q or r < 0:
             raise ValueError("record n is not p * q, or r is negative")
-        if _dependent_fields(n, r, z) != (
-            record.digits, record.status, record.r_digits, record.r_even, record.fallback_succeeded
-        ):
+        if _dependent_fields(n, r, z) != (digits, status, r_digits, r_even, fallback_succeeded):
             raise ValueError("record fields disagree with their n, r and succeeded_z")
-        if (record.half_power_is_minus_one is None) == record.r_even:
+        if (half_power_is_minus_one is None) == r_even:
             raise ValueError("record half_power_is_minus_one is null exactly when r is not even")
         # k distinct primes of r > 1 make r at least the product of the first
         # k primes, and so k <= r.bit_length(); checking that first keeps the
         # product small.
-        distinct = record.r_distinct_primes
         if not (
             1 <= distinct <= r.bit_length() and math.prod(_SMALL_PRIMES[:distinct]) <= r
             if r > 1
@@ -281,21 +283,55 @@ class TrialRecord:
             raise ValueError("record r_distinct_primes is out of range for its r")
         if type(z) is int and (z < 2 or r % z):
             raise ValueError("record succeeded_z is no divisor >= 2 of r")
-        success = record.status == "success"
-        if record.factor not in ((p, q) if success else (None,)):
+        success = status == "success"
+        if factor not in ((p, q) if success else (None,)):
             raise ValueError("record factor and status disagree")
         # Only a poisoned record (error set) counts no gcd; it has no order,
         # success or attempt.
-        poisoned = record.error is not None
-        if record.attempts_used < 1 or record.gcd_count < 0 or (record.gcd_count == 0) != poisoned:
+        poisoned = error is not None
+        if attempts_used < 1 or gcd_count < 0 or (gcd_count == 0) != poisoned:
             raise ValueError("record attempts_used or gcd_count out of range")
-        if poisoned and (r != 0 or z is not None or failed_z or record.fallback_tried):
+        if poisoned and (r != 0 or z is not None or failed_z or fallback_tried):
             raise ValueError("a poisoned record has an order, a success or an attempt")
-        if success and (not record.resolved or record.attempts_used != 1):
+        # The strategies reject any other base, and so poison its record,
+        # and they factor n by gcd(a, n) exactly when a is no unit.
+        if not poisoned and not 2 <= a < n:
+            raise ValueError("a clean record's base is not in [2, n - 1]")
+        if not poisoned and (math.gcd(a, n) > 1) != (z == "shortcut"):
+            raise ValueError("a clean record is a gcd shortcut exactly when its base is no unit")
+        # An order mod p * q divides lcm(p - 1, q - 1); a poisoned record has r = 0.
+        if r and math.lcm(p - 1, q - 1) % r:
+            raise ValueError("record r does not divide lcm(p - 1, q - 1)")
+        if success and (not resolved or attempts_used != 1):
             raise ValueError("a success is resolved by its first attempt")
-        if record.resolved and record.attempts_used < 2 and not success:
+        if resolved and attempts_used < 2 and not success:
             raise ValueError("a failure is resolved only by a retry")
-        return record
+        return _new_record(values)
+
+
+_RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
+_FAILED_Z_INDEX = _RECORD_FIELDS.index("failed_z")
+# The fields' values of a decoded JSON object, in field order.
+_record_values = itemgetter(*_RECORD_FIELDS)
+# The JSON value types each record field accepts, read off its annotation
+# and matched exactly, so a bool is no int. A tuple travels as a list.
+_JSON_TYPES = {"int": int, "str": str, "bool": bool, "None": type(None), "tuple[int, ...]": list}
+_RECORD_TYPES = tuple(
+    tuple(_JSON_TYPES[t] for t in f.type.split(" | ")) for f in fields(TrialRecord)
+)
+
+
+def _new_record(values: Iterable[Any]) -> TrialRecord:
+    """The record whose fields are `values`, in field order.
+
+    Its instance dict, the one `to_json_dict` reads, is filled directly:
+    no keyword binding and none of the frozen dataclass's per-field
+    setattr calls. The values are taken as they are, so the caller makes
+    or checks them.
+    """
+    record = object.__new__(TrialRecord)
+    vars(record).update(zip(_RECORD_FIELDS, values))
+    return record
 
 
 # One compact encoder for every record: json.dumps builds a new one per
@@ -313,14 +349,6 @@ def record_from_json_line(line: bytes) -> TrialRecord:
     line that is not UTF-8 fails like any other malformed or blank line:
     with ValueError, KeyError or TypeError, as `TrialRecord.from_json_dict`."""
     return TrialRecord.from_json_dict(json.loads(line.decode("utf-8").strip()))
-
-
-# The JSON value types each record field accepts, read off its annotation
-# and matched exactly, so a bool is no int. A tuple travels as a list.
-_JSON_TYPES = {"int": int, "str": str, "bool": bool, "None": type(None), "tuple[int, ...]": list}
-_RECORD_TYPES = {
-    f.name: tuple(_JSON_TYPES[t] for t in f.type.split(" | ")) for f in fields(TrialRecord)
-}
 
 
 @dataclass(frozen=True)
@@ -549,33 +577,36 @@ def run_trial(
     r, r_distinct = (0, 0) if period is None else (period.order, len(period.factors.entries))
     succeeded_z = outcome.succeeded_z
     digits, status, r_digits, r_even, fallback_succeeded = _dependent_fields(n, r, succeeded_z)
-    return TrialRecord(
-        case_id=case.case_id,
-        digits=digits,
-        n=n,
-        p=sp.p,
-        q=sp.q,
-        a=a,
-        base_mode=case.base_mode,
-        seed=case.seed,
-        strategy=strategy,
-        bound=bound,
-        status=status,
-        factor=outcome.factor,
-        r=r,
-        r_digits=r_digits,
-        r_distinct_primes=r_distinct,
-        succeeded_z=succeeded_z,
-        failed_z=outcome.failed_z,
-        fallback_tried=outcome.fallback_tried,
-        fallback_succeeded=fallback_succeeded,
-        # A poisoned record counts no gcd, not even the gcd(a, n) probe.
-        gcd_count=0 if error is not None else outcome.gcd_count,
-        r_even=r_even,
-        half_power_is_minus_one=pow(a, r // 2, n) == n - 1 if r_even else None,
-        attempts_used=1,
-        resolved=status == "success",
-        error=error,
+    # The values in field order.
+    return _new_record(
+        (
+            case.case_id,
+            digits,
+            n,
+            sp.p,
+            sp.q,
+            a,
+            case.base_mode,
+            case.seed,
+            strategy,
+            bound,
+            status,
+            outcome.factor,
+            r,
+            r_digits,
+            r_distinct,
+            succeeded_z,
+            outcome.failed_z,
+            outcome.fallback_tried,
+            fallback_succeeded,
+            # gcd_count: a poisoned record counts no gcd, not even the gcd(a, n) probe.
+            0 if error is not None else outcome.gcd_count,
+            r_even,
+            pow(a, r // 2, n) == n - 1 if r_even else None,
+            1,  # attempts_used
+            status == "success",  # resolved
+            error,
+        )
     )
 
 
@@ -606,9 +637,8 @@ def _credited_bound_classes(succeeded_z: int | str | None) -> tuple[str, ...]:
         return ()
     if isinstance(succeeded_z, str):
         return BOUND_CLASSES
-    z_digits = _digit_count(succeeded_z)
-    finite = tuple(c for c in BOUND_CLASSES[:-1] if int(c) >= z_digits)
-    return finite + ("inf",)
+    # The class of k-digit bounds sits at index k - 1, and "inf" last.
+    return BOUND_CLASSES[min(_digit_count(succeeded_z), len(BOUND_CLASSES)) - 1 :]
 
 
 @dataclass
@@ -628,6 +658,8 @@ class CampaignStats:
     half_power_minus_one_count: int = 0
     cumulative_success_by_bound: dict[str, int] = field(default_factory=dict)
     fallback_success_count: int = 0
+    #: Records per (digits, strategy, status).
+    outcomes_by_digits_strategy: dict[tuple[int, str, str], int] = field(default_factory=dict)
 
     @property
     def success_rate(self) -> Fraction:
@@ -648,6 +680,9 @@ class CampaignStats:
     def absorb(self, record: TrialRecord) -> None:
         """Fold one record in; shared by streaming and recomputation paths."""
         self.trials += 1
+        outcomes = self.outcomes_by_digits_strategy
+        key = (record.digits, record.strategy, record.status)
+        outcomes[key] = outcomes.get(key, 0) + 1
         if record.status == "success":
             self.successes += 1
         else:
@@ -737,7 +772,8 @@ def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
         if retry_record.status == "success":
             resolved = True
             break
-    return replace(record, attempts_used=attempts_used, resolved=resolved)
+    retried = {**vars(record), "attempts_used": attempts_used, "resolved": resolved}
+    return _new_record(retried.values())
 
 
 Block = tuple[bytes, CampaignStats]

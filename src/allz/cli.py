@@ -16,6 +16,7 @@ import contextlib
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import asdict
@@ -29,18 +30,17 @@ from .campaign import (
     CampaignConfig,
     CampaignStats,
     RandomStream,
-    TrialRecord,
     campaign_blocks,
     case_seed,
-    compute_metrics,
     merge_stats,
     ratio,
     record_from_json_line,
-    # Unused here, but kept: tests import them and perfbench/child.py patches them on allz.cli.
-    record_json_line,
-    run_campaign,
     run_strategy,
     sample_base,
+    # Unused here, but kept: tests import them and perfbench/child.py patches them on allz.cli.
+    compute_metrics,
+    record_json_line,
+    run_campaign,
 )
 from .fixtures import REFERENCE_FAILURE_CASES
 from .numtheory import PRIMALITY_LIMIT, is_probable_prime
@@ -263,7 +263,8 @@ def _campaign_failed(out: str | None, message: str) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     try:
         config = _load_campaign_config(args)
-    except (ValueError, TypeError, OSError, json.JSONDecodeError) as exc:
+    # A config nested too deeply for the JSON decoder raises RecursionError.
+    except (ValueError, TypeError, OSError, RecursionError) as exc:
         print(f"error: invalid campaign configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     # Opened before the first case runs, so an unwritable path costs nothing.
@@ -294,18 +295,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_records(paths: Iterable[str]) -> list[TrialRecord]:
-    records = []
-    for path in paths:
-        with open(path, "rb") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                try:
-                    records.append(record_from_json_line(line))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise _MalformedLine(path, lineno) from exc
-    return records
-
-
 class _MalformedLine(Exception):
     def __init__(self, path: str, lineno: int) -> None:
         super().__init__(f"{path}:{lineno}: malformed record line")
@@ -313,13 +302,40 @@ class _MalformedLine(Exception):
         self.lineno = lineno
 
 
-def _per_digit_table(records: list[TrialRecord]) -> dict[str, dict[str, dict[str, Any]]]:
+# A failure row: what `failure_cases` lists, led by its sort key.
+_failure_row = operator.attrgetter("digits", "n", "a", "case_id", "r", "failed_z", "fallback_tried")
+
+
+def _fold_inputs(paths: Iterable[str]) -> tuple[CampaignStats, list[tuple]]:
+    """The stats of every record in the files, and their failure rows sorted.
+
+    Each line is decoded, folded and dropped as it is read, so only the
+    failure rows grow with the input.
+    """
+    stats = CampaignStats()
+    failures = []
+    for path in paths:
+        with open(path, "rb") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                try:
+                    record = record_from_json_line(line)
+                # A line nested too deeply for the JSON decoder is malformed too.
+                except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                    raise _MalformedLine(path, lineno) from exc
+                stats.absorb(record)
+                if record.status == "failure":
+                    failures.append(_failure_row(record))
+    failures.sort(key=operator.itemgetter(0, 1, 2, 3))
+    return stats, failures
+
+
+def _success_by_digits(stats: CampaignStats) -> dict[str, dict[str, dict[str, Any]]]:
     cells: dict[tuple[int, str], list[int]] = {}
-    for record in records:
-        key = (record.digits, record.strategy)
-        cell = cells.setdefault(key, [0, 0])
-        cell[0] += 1
-        cell[1] += record.status == "success"
+    for (digits, strategy, status), count in stats.outcomes_by_digits_strategy.items():
+        cell = cells.setdefault((digits, strategy), [0, 0])
+        cell[0] += count
+        if status == "success":
+            cell[1] += count
     table: dict[str, dict[str, dict[str, Any]]] = {}
     for (digits, strategy), (trials, successes) in sorted(cells.items()):
         table.setdefault(str(digits), {})[strategy] = {
@@ -330,14 +346,8 @@ def _per_digit_table(records: list[TrialRecord]) -> dict[str, dict[str, dict[str
     return table
 
 
-def _failure_rows(records: list[TrialRecord]) -> list[TrialRecord]:
-    failures = [r for r in records if r.status == "failure"]
-    failures.sort(key=lambda r: (r.digits, r.n, r.a, r.case_id))
-    return failures
-
-
 def _json_report(
-    records: list[TrialRecord], stats: CampaignStats, table: dict[str, Any]
+    stats: CampaignStats, table: dict[str, Any], failures: list[tuple]
 ) -> dict[str, Any]:
     even = stats.even_r_count
     report = {
@@ -365,48 +375,47 @@ def _json_report(
         "fallback_successes": stats.fallback_success_count,
         "failure_cases": [
             {
-                "digits": r.digits,
-                "n": r.n,
-                "a": r.a,
-                "r": r.r,
-                "fail_factors": list(r.failed_z),
-                "fallback_tried": r.fallback_tried,
+                "digits": digits,
+                "n": n,
+                "a": a,
+                "r": r,
+                "fail_factors": list(failed_z),
+                "fallback_tried": fallback_tried,
             }
-            for r in _failure_rows(records)
+            for digits, n, a, _, r, failed_z, fallback_tried in failures
         ],
     }
     return report
 
 
-def _write_failure_csv(records: list[TrialRecord], handle) -> None:
+def _write_failure_csv(failures: list[tuple], handle) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["digits", "n", "a", "r", "fail_factors", "fallback_tried"])
-    for r in _failure_rows(records):
+    for digits, n, a, _, r, failed_z, fallback_tried in failures:
         writer.writerow(
             [
-                r.digits,
-                r.n,
-                r.a,
-                r.r,
-                ", ".join(str(z) for z in r.failed_z),
-                "true" if r.fallback_tried else "false",
+                digits,
+                n,
+                a,
+                r,
+                ", ".join(str(z) for z in failed_z),
+                "true" if fallback_tried else "false",
             ]
         )
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
-        records = _load_records(args.inputs)
+        stats, failures = _fold_inputs(args.inputs)
     except _MalformedLine as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    stats = compute_metrics(records)
-    for line in _stats_summary_lines(stats, f"report over {len(records)} records"):
+    for line in _stats_summary_lines(stats, f"report over {stats.trials} records"):
         print(line)
-    table = _per_digit_table(records)
+    table = _success_by_digits(stats)
     if table:
         print("  success rate by digits and strategy:")
         for digits, by_strategy in table.items():
@@ -419,9 +428,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 if args.format == "csv":
-                    _write_failure_csv(records, handle)
+                    _write_failure_csv(failures, handle)
                 else:
-                    report = _json_report(records, stats, table)
+                    report = _json_report(stats, table, failures)
                     json.dump(report, handle, indent=2, sort_keys=True)
                     handle.write("\n")
         except OSError as exc:

@@ -1,7 +1,7 @@
 """Tests for seeded sampling, trial execution, and mergeable statistics."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -581,6 +581,15 @@ class TestStatsAlgebra:
             half_power_minus_one_count=st.integers(0, 1000),
             cumulative_success_by_bound=curve,
             fallback_success_count=st.integers(0, 100),
+            outcomes_by_digits_strategy=st.dictionaries(
+                st.tuples(
+                    st.integers(2, 12),
+                    st.sampled_from(campaign.STRATEGIES),
+                    st.sampled_from(["success", "failure"]),
+                ),
+                st.integers(1, 50),
+                max_size=4,
+            ),
         )
 
     @settings(max_examples=400, deadline=None)
@@ -637,3 +646,33 @@ class TestRecordSerialization:
         result = run_campaign(CampaignConfig(digits=4, trials=60, master_seed=17))
         for record in result.records:
             assert TrialRecord.from_json_dict(record.to_json_dict()) == record
+
+    def test_decoded_records_rebuild_their_lines(self):
+        # Each strategy, both base modes, retries, a gcd shortcut and a
+        # poisoned record, as `run_trial` and the retries build them.
+        records = [
+            campaign._execute_case(
+                CampaignConfig(
+                    digits=5, trials=12, strategy=strategy, base_mode=base_mode, retry_limit=2
+                ),
+                case_id,
+            )
+            for strategy in campaign.STRATEGIES
+            for base_mode in campaign.BASE_MODES
+            for case_id in range(12)
+        ]
+        records.append(run_trial(make_case(15, 3, 5, 5), "allz"))
+        records.append(run_trial(make_case(21, 3, 7, 22), "allz"))
+        assert records[-2].succeeded_z == "shortcut" and records[-1].error is not None
+        assert any(r.attempts_used > 1 for r in records)
+        assert {(r.strategy, r.base_mode) for r in records} == {
+            (s, m) for s in campaign.STRATEGIES for m in campaign.BASE_MODES
+        }
+        names = [f.name for f in fields(TrialRecord)]
+        for record in records:
+            line = record_json_line(record)
+            decoded = TrialRecord.from_json_dict(record.to_json_dict())
+            assert decoded == record
+            assert list(vars(record)) == list(vars(decoded)) == names
+            assert record_json_line(decoded) == line
+            assert record_from_json_line(line.encode()) == record

@@ -236,6 +236,14 @@ class TestCampaignCommand:
         code, _, err = run_cli(capsys, "campaign", "--config", str(bad))
         assert code == 2
 
+    def test_deeply_nested_config_exits_2_with_one_line(self, capsys, tmp_path):
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 200_000)
+        code, out, err = run_cli(capsys, "campaign", "--config", str(nested))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid campaign configuration: ")
+        assert err.count("\n") == 1
+
     def test_unwritable_output_exits_3(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -375,6 +383,9 @@ class TestReportCommand:
         poisoned = campaign.run_trial(case, "allz").to_json_dict()
         assert TrialRecord.from_json_dict(poisoned).error is not None
         shortcut = {"status": "success", "factor": 3, "succeeded_z": "shortcut", "resolved": True}
+        case = campaign.TrialCase(2, campaign.Semiprime(21, 3, 7), 6, "random", 0)
+        gcd_shortcut = campaign.run_trial(case, "allz").to_json_dict()
+        assert TrialRecord.from_json_dict(gcd_shortcut).succeeded_z == "shortcut"
         five = run_campaign(CampaignConfig(digits=5, trials=1, master_seed=0)).records[0].to_json_dict()
         assert (five["r"], five["r_distinct_primes"]) == (33998, 3)  # 2 * 89 * 191
         for bad in (
@@ -417,6 +428,15 @@ class TestReportCommand:
             json.dumps({**good, "succeeded_z": 1}),
             json.dumps({**good, "failed_z": [3, 7]}),
             json.dumps({**good, "failed_z": [0]}),
+            # r = 792 * 5 keeps every other rule, but an order mod n = 19 * 89
+            # divides lcm(18, 88) = 792.
+            json.dumps({**good, "r": 3960, "r_digits": 4, "r_distinct_primes": 4}),
+            # A clean record's base lies in [2, n - 1], and it is no unit
+            # exactly on a gcd shortcut.
+            json.dumps({**good, "a": good["n"] + 313}),
+            json.dumps({**good, "a": 1}),
+            json.dumps({**good, "a": 2 * 19}),  # n = 19 * 89
+            json.dumps({**gcd_shortcut, "a": 2}),
             b"\xff\xfe\x00bad",  # not UTF-8
         ):
             src = tmp_path / "broken.jsonl"
@@ -426,6 +446,59 @@ class TestReportCommand:
             code, _, err = run_cli(capsys, "report", "--in", str(src))
             assert code == 2, bad[:80]
             assert f"{src}:3" in err
+
+    def test_deeply_nested_line_exits_2_with_one_line(self, capsys, tmp_path):
+        # Nested past the JSON decoder's recursion limit.
+        src = tmp_path / "nested.jsonl"
+        good = record_json_line(run_campaign(CampaignConfig(digits=4, trials=1)).records[0])
+        src.write_bytes(good.encode() + b"\n" + b"[" * 200_000 + b"\n")
+        code, out, err = run_cli(capsys, "report", "--in", str(src))
+        assert (code, out, err) == (2, "", f"error: {src}:2: malformed record line\n")
+
+    def test_streamed_report_matches_over_permuted_and_concatenated_parts(
+        self, capsys, tmp_path
+    ):
+        # Records of several digit classes, strategies and base modes, with
+        # retries, so every table and listing has rows.
+        lines = [
+            record_json_line(record)
+            for config in (
+                CampaignConfig(digits=4, trials=150, master_seed=3),
+                CampaignConfig(digits=5, trials=120, strategy="traditional", retry_limit=1),
+                CampaignConfig(
+                    digits=6, trials=90, strategy="dong2023", base_mode="perfect_square"
+                ),
+            )
+            for record in run_campaign(config).records
+        ]
+        whole = tmp_path / "whole.jsonl"
+        whole.write_text("".join(line + "\n" for line in lines))
+        parts = []
+        bounds = (0, 1, 100, 250, 251, len(lines))
+        for index, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            part = tmp_path / f"part{index}.jsonl"
+            part.write_text("".join(line + "\n" for line in lines[lo:hi]))
+            parts.append(str(part))
+        doubled = tmp_path / "doubled.jsonl"
+        doubled.write_text(whole.read_text() * 2)
+
+        def report(inputs):
+            outputs = []
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"report.{fmt}"
+                argv = ["report", "--in", *inputs, "--format", fmt, "--out", str(out)]
+                code, stdout, _ = run_cli(capsys, *argv)
+                assert code == 0
+                outputs += [stdout, out.read_bytes()]
+            return outputs
+
+        expected = report([str(whole)])
+        assert "digits=6 dong2023" in expected[0] and b"fallback_tried" in expected[1]
+        assert report(parts) == expected
+        assert report(parts[::-1]) == expected
+        assert report([parts[2], parts[0], parts[4], parts[1], parts[3]]) == expected
+        # Each record twice: the same output as the whole given twice.
+        assert report([str(doubled)]) == report([str(whole), str(whole)])
 
     def test_negative_mean_keeps_its_sign(self, capsys, tmp_path):
         # A negative r_digits would give the mean (-11 + 5 + 5) / 3 = -1/3,

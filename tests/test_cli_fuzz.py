@@ -9,6 +9,7 @@ Inputs stay small (n < 10**6, at most 3 trials) so each example is cheap.
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -171,6 +172,18 @@ def contradicting_field(record):
         pairs.append(st.just(("fallback_tried", True)))
     else:
         pairs.append(st.text().map(lambda v: ("error", v)))
+        # A clean record's base lies in [2, n - 1], and it is no unit
+        # exactly on a gcd shortcut.
+        pairs.append(st.integers().filter(lambda v: not 2 <= v < n).map(lambda v: ("a", v)))
+        if record["succeeded_z"] != "shortcut":
+            pairs.append(st.integers(1, q - 1).map(lambda k: ("a", k * p)))
+    if r:
+        # r divides lcm(p - 1, q - 1). An odd multiple of r keeps r's parity
+        # and divisors, so where it keeps r's digit count only this rule fails.
+        lam = math.lcm(p - 1, q - 1)
+        pairs.append(
+            st.integers(3, 99).filter(lambda k: k % 2 and lam % (r * k)).map(lambda k: ("r", r * k))
+        )
     if success:
         pairs.append(st.just(("succeeded_z", None)))
     if success or record["attempts_used"] == 1:
