@@ -27,14 +27,17 @@ from .campaign import (
     BASE_MODES,
     BOUND_CLASSES,
     STRATEGIES,
+    BadLine,
     CampaignConfig,
     CampaignStats,
     RandomStream,
+    RecordTally,
     campaign_blocks,
     case_seed,
+    decode_chunk,
     merge_stats,
     ratio,
-    record_from_json_line,
+    read_chunks,
     run_strategy,
     sample_base,
     # Unused here, but kept: tests import them and perfbench/child.py patches them on allz.cli.
@@ -309,24 +312,24 @@ _failure_row = operator.attrgetter("digits", "n", "a", "case_id", "r", "failed_z
 def _fold_inputs(paths: Iterable[str]) -> tuple[CampaignStats, list[tuple]]:
     """The stats of every record in the files, and their failure rows sorted.
 
-    Each line is decoded, folded and dropped as it is read, so only the
-    failure rows grow with the input.
+    Each chunk of lines is decoded, tallied and dropped as it is read, so
+    only the failure rows grow with the input.
     """
-    stats = CampaignStats()
+    tally = RecordTally()
     failures = []
     for path in paths:
         with open(path, "rb") as handle:
-            for lineno, line in enumerate(handle, start=1):
+            lineno = 1  # of the chunk's first line
+            for chunk in read_chunks(handle):
                 try:
-                    record = record_from_json_line(line)
-                # A line nested too deeply for the JSON decoder is malformed too.
-                except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                    raise _MalformedLine(path, lineno) from exc
-                stats.absorb(record)
-                if record.status == "failure":
-                    failures.append(_failure_row(record))
+                    records = decode_chunk(chunk)
+                except BadLine as exc:
+                    raise _MalformedLine(path, lineno + exc.index) from exc.__cause__
+                lineno += len(records)
+                tally.add(records)
+                failures += [_failure_row(r) for r in records if r.status == "failure"]
     failures.sort(key=operator.itemgetter(0, 1, 2, 3))
-    return stats, failures
+    return tally.stats(), failures
 
 
 def _success_by_digits(stats: CampaignStats) -> dict[str, dict[str, dict[str, Any]]]:
@@ -346,11 +349,21 @@ def _success_by_digits(stats: CampaignStats) -> dict[str, dict[str, dict[str, An
     return table
 
 
-def _json_report(
-    stats: CampaignStats, table: dict[str, Any], failures: list[tuple]
-) -> dict[str, Any]:
+# One `failure_cases` row as json.dump(indent=2, sort_keys=True) lays it out.
+_FAILURE_CASE_JSON = (
+    '    {{\n      "a": {},\n      "digits": {},\n      "fail_factors": {},\n'
+    '      "fallback_tried": {},\n      "n": {},\n      "r": {}\n    }}'
+)
+
+
+def _write_json_report(
+    stats: CampaignStats, table: dict[str, Any], failures: list[tuple], handle
+) -> None:
+    """The report, byte for byte as json.dump(..., indent=2, sort_keys=True)
+    and a line end write it, with the `failure_cases` rows written one at
+    a time instead of built as one list of dicts."""
     even = stats.even_r_count
-    report = {
+    summary = {
         "totals": {
             "trials": stats.trials,
             "successes": stats.successes,
@@ -373,19 +386,23 @@ def _json_report(
         },
         "failures_by_reason": dict(sorted(stats.failures_by_reason.items())),
         "fallback_successes": stats.fallback_success_count,
-        "failure_cases": [
-            {
-                "digits": digits,
-                "n": n,
-                "a": a,
-                "r": r,
-                "fail_factors": list(failed_z),
-                "fallback_tried": fallback_tried,
-            }
-            for digits, n, a, _, r, failed_z, fallback_tried in failures
-        ],
+        "failure_cases": [],
     }
-    return report
+    head, opening, tail = json.dumps(summary, indent=2, sort_keys=True).partition(
+        '"failure_cases": ['
+    )
+    handle.write(head + opening)
+    separator = "\n"
+    for digits, n, a, _, r, failed_z, fallback_tried in failures:
+        factors = (
+            "[\n        " + ",\n        ".join(map(str, failed_z)) + "\n      ]" if failed_z else "[]"
+        )
+        flag = "true" if fallback_tried else "false"
+        handle.write(separator + _FAILURE_CASE_JSON.format(a, digits, factors, flag, n, r))
+        separator = ",\n"
+    if failures:
+        handle.write("\n  ")
+    handle.write(tail + "\n")
 
 
 def _write_failure_csv(failures: list[tuple], handle) -> None:
@@ -430,9 +447,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 if args.format == "csv":
                     _write_failure_csv(failures, handle)
                 else:
-                    report = _json_report(stats, table, failures)
-                    json.dump(report, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
+                    _write_json_report(stats, table, failures, handle)
         except OSError as exc:
             print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_IO_ERROR

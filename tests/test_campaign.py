@@ -556,6 +556,37 @@ class TestCampaign:
             assert resolved >= 998, digits
 
 
+def varied_records():
+    """Each strategy, both base modes, retries, a gcd shortcut and a poisoned
+    record, as `run_trial` and the retries build them."""
+    records = [
+        campaign._execute_case(
+            CampaignConfig(
+                digits=5, trials=12, strategy=strategy, base_mode=base_mode, retry_limit=2
+            ),
+            case_id,
+        )
+        for strategy in campaign.STRATEGIES
+        for base_mode in campaign.BASE_MODES
+        for case_id in range(12)
+    ]
+    records.append(run_trial(make_case(15, 3, 5, 5), "allz"))
+    records.append(run_trial(make_case(21, 3, 7, 22), "allz"))
+    assert records[-2].succeeded_z == "shortcut" and records[-1].error is not None
+    assert any(r.attempts_used > 1 for r in records)
+    assert {(r.strategy, r.base_mode) for r in records} == {
+        (s, m) for s in campaign.STRATEGIES for m in campaign.BASE_MODES
+    }
+    return records
+
+
+def absorbed_one_by_one(records):
+    stats = CampaignStats()
+    for record in records:
+        stats.absorb(record)
+    return stats
+
+
 class TestStatsAlgebra:
     @staticmethod
     def stats_strategy():
@@ -618,6 +649,52 @@ class TestStatsAlgebra:
         assert empty.mean_gcd_count == 0
         assert empty.mean_r_digits == 0
 
+    @settings(max_examples=25, deadline=None)
+    @given(
+        digits=st.integers(4, 7),
+        strategy=st.sampled_from(campaign.STRATEGIES),
+        base_mode=st.sampled_from(campaign.BASE_MODES),
+        bound=st.sampled_from([None, 9, 99]),
+        retry_limit=st.integers(0, 2),
+        seed=st.integers(0, 2**32),
+        trials=st.integers(0, 60),
+    )
+    def test_counted_fold_matches_absorbing_each_record(
+        self, digits, strategy, base_mode, bound, retry_limit, seed, trials
+    ):
+        config = CampaignConfig(
+            digits=digits, trials=trials, strategy=strategy, base_mode=base_mode,
+            bound=bound, retry_limit=retry_limit, master_seed=seed,
+        )
+        result = run_campaign(config)
+        assert result.stats == absorbed_one_by_one(result.records)
+        doubled = result.records + result.records[::-1]
+        assert compute_metrics(doubled) == absorbed_one_by_one(doubled)
+
+    def test_counted_fold_matches_on_varied_records(self):
+        records = varied_records()
+        # No campaign here fails `traditional` with a failed_z, which alone
+        # would move the failure to another reason.
+        failure = next(r for r in records if r.strategy == "traditional" and r.status == "failure")
+        records.append(replace(failure, failed_z=(2,)))
+        # In chunks, as `report` tallies them, and with records repeated.
+        tally = campaign.RecordTally()
+        for lo in range(0, len(records), 7):
+            tally.add(records[lo : lo + 7])
+        tally.add(records[::3])
+        want = absorbed_one_by_one(records + records[::3])
+        assert tally.stats() == want
+        reasons = {"precondition_error", "fallback_trivial", "odd_period_unusable"}
+        assert reasons <= want.failures_by_reason.keys()
+        assert want.attempts_per_success_histogram.keys() > {1}  # retries ran
+
+    def test_absorb_with_a_count_is_that_many_absorbs(self):
+        for k, record in enumerate(varied_records()):
+            count = k % 5 + 1
+            once = CampaignStats()
+            once.absorb(record, count)
+            assert once == absorbed_one_by_one([record] * count)
+
 
 class TestCochran:
     def test_examples(self):
@@ -642,32 +719,28 @@ class TestCochran:
 
 
 class TestRecordSerialization:
+    @pytest.mark.parametrize("size", [1, 3, 64, 1 << 16])
+    def test_chunks_are_whole_lines(self, monkeypatch, tmp_path, size):
+        monkeypatch.setattr(campaign, "_CHUNK_BYTES", size)
+        long_line = b"x" * 200 + b"\r\n"  # spans reads of 64 bytes
+        for data in (b"", b"\n", b"a\n\nbc\n" + long_line, b"a\nbc" + long_line + b"tail"):
+            path = tmp_path / "data"
+            path.write_bytes(data)
+            with open(path, "rb") as handle:
+                chunks = list(campaign.read_chunks(handle))
+            assert b"".join(chunks) == data
+            assert all(chunk.endswith(b"\n") for chunk in chunks[:-1])
+            assert all(chunks)
+            if size == 1:  # a byte at a time: a chunk per line
+                assert chunks == data.splitlines(keepends=True)
+
     def test_round_trip(self):
         result = run_campaign(CampaignConfig(digits=4, trials=60, master_seed=17))
         for record in result.records:
             assert TrialRecord.from_json_dict(record.to_json_dict()) == record
 
     def test_decoded_records_rebuild_their_lines(self):
-        # Each strategy, both base modes, retries, a gcd shortcut and a
-        # poisoned record, as `run_trial` and the retries build them.
-        records = [
-            campaign._execute_case(
-                CampaignConfig(
-                    digits=5, trials=12, strategy=strategy, base_mode=base_mode, retry_limit=2
-                ),
-                case_id,
-            )
-            for strategy in campaign.STRATEGIES
-            for base_mode in campaign.BASE_MODES
-            for case_id in range(12)
-        ]
-        records.append(run_trial(make_case(15, 3, 5, 5), "allz"))
-        records.append(run_trial(make_case(21, 3, 7, 22), "allz"))
-        assert records[-2].succeeded_z == "shortcut" and records[-1].error is not None
-        assert any(r.attempts_used > 1 for r in records)
-        assert {(r.strategy, r.base_mode) for r in records} == {
-            (s, m) for s in campaign.STRATEGIES for m in campaign.BASE_MODES
-        }
+        records = varied_records()
         names = [f.name for f in fields(TrialRecord)]
         for record in records:
             line = record_json_line(record)
@@ -676,3 +749,7 @@ class TestRecordSerialization:
             assert list(vars(record)) == list(vars(decoded)) == names
             assert record_json_line(decoded) == line
             assert record_from_json_line(line.encode()) == record
+            assert record_from_json_line(line) == record
+        lines = "\n".join(map(record_json_line, records))
+        assert campaign.decode_chunk(lines.encode()) == records
+        assert campaign.decode_chunk(lines.encode() + b"\n") == records

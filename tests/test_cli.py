@@ -318,6 +318,145 @@ def sample_records():
     return result.records
 
 
+# Reads that cut the input into chunks of one line each (a byte at a time),
+# of about three record lines, and of 64 bytes (lines span reads).
+CHUNK_READS = ("one line", "three lines", "64 bytes")
+
+
+def set_chunk_bytes(monkeypatch, read, line):
+    """Make `report` read `read` at a time; `line` is a typical record line."""
+    size = {"one line": 1, "three lines": 3 * len(line), "64 bytes": 64}[read]
+    monkeypatch.setattr(campaign, "_CHUNK_BYTES", size)
+
+
+def check_malformed_lines(capsys, tmp_path, sample_records):
+    """Every bad line among good ones exits 2 naming `path:3`."""
+    good = sample_records[2].to_json_dict()
+    assert good["status"] == "success" and good["error"] is None and good["r"] == 792
+    odd = sample_records[0].to_json_dict()
+    assert odd["r"] % 2 == 1 and odd["half_power_is_minus_one"] is None
+    # A real poisoned record: the base 22 is not below n = 21.
+    case = campaign.TrialCase(2, campaign.Semiprime(21, 3, 7), 22, "random", 0)
+    poisoned = campaign.run_trial(case, "allz").to_json_dict()
+    assert TrialRecord.from_json_dict(poisoned).error is not None
+    shortcut = {"status": "success", "factor": 3, "succeeded_z": "shortcut", "resolved": True}
+    case = campaign.TrialCase(2, campaign.Semiprime(21, 3, 7), 6, "random", 0)
+    gcd_shortcut = campaign.run_trial(case, "allz").to_json_dict()
+    assert TrialRecord.from_json_dict(gcd_shortcut).succeeded_z == "shortcut"
+    five = run_campaign(CampaignConfig(digits=5, trials=1, master_seed=0)).records[0].to_json_dict()
+    assert (five["r"], five["r_distinct_primes"]) == (33998, 3)  # 2 * 89 * 191
+    for bad in (
+        "{not json",
+        "[1]",
+        '{"n": ' + "9" * 5000 + "}",  # beyond the int conversion limit
+        json.dumps({**good, "gcd_count": "x"}),
+        json.dumps({**good, "n": True}),  # a bool is not an int
+        json.dumps({**good, "failed_z": ["3"]}),
+        json.dumps({**good, "succeeded_z": 1.5}),
+        json.dumps({**good, "status": "bogus"}),  # neither success nor failure
+        # Typed, but contradicting another field.
+        json.dumps({**good, "n": good["n"] + 2}),  # n != p * q
+        json.dumps({**good, "factor": 7}),  # a success by neither p nor q
+        json.dumps({**good, "gcd_count": -5, "attempts_used": 0}),
+        json.dumps({**good, "succeeded_z": None}),  # a success with no witness
+        json.dumps({**odd, "half_power_is_minus_one": True}),  # r is odd
+        # Out of vocabulary or range.
+        json.dumps({**good, "strategy": "banana"}),
+        json.dumps({**good, "base_mode": "banana"}),
+        json.dumps({**good, "succeeded_z": "banana"}),
+        json.dumps({**good, "bound": 1}),
+        # gcd_count is 0 exactly on a poisoned record, which has no order
+        # and no success.
+        json.dumps({**good, "gcd_count": 0}),
+        json.dumps({**good, "error": "boom"}),
+        json.dumps({**poisoned, "gcd_count": 1}),
+        json.dumps({**poisoned, **shortcut}),
+        json.dumps({**poisoned, "r": 7, "r_digits": 1}),
+        json.dumps({**poisoned, "failed_z": [2]}),
+        json.dumps({**poisoned, "fallback_tried": True}),
+        # r_distinct_primes is 0 exactly when r <= 1, and k distinct primes
+        # of r make r at least 2 * 3 * ... * p_k.
+        json.dumps({**poisoned, "r_distinct_primes": 1}),
+        json.dumps({**good, "r_distinct_primes": 0}),
+        json.dumps({**good, "r_distinct_primes": good["r"].bit_length() + 1}),
+        json.dumps({**five, "r_distinct_primes": 9}),  # 2 * 3 * ... * 23 > 33998
+        # succeeded_z and failed_z hold divisors >= 2 of r = 792.
+        json.dumps({**good, "succeeded_z": 5}),
+        json.dumps({**good, "succeeded_z": 1}),
+        json.dumps({**good, "failed_z": [3, 7]}),
+        json.dumps({**good, "failed_z": [0]}),
+        # r = 792 * 5 keeps every other rule, but an order mod n = 19 * 89
+        # divides lcm(18, 88) = 792.
+        json.dumps({**good, "r": 3960, "r_digits": 4, "r_distinct_primes": 4}),
+        # A clean record's base lies in [2, n - 1], and it is no unit
+        # exactly on a gcd shortcut.
+        json.dumps({**good, "a": good["n"] + 313}),
+        json.dumps({**good, "a": 1}),
+        json.dumps({**good, "a": 2 * 19}),  # n = 19 * 89
+        json.dumps({**gcd_shortcut, "a": 2}),
+        b"\xff\xfe\x00bad",  # not UTF-8
+        b"",  # blank
+        "\ufeff" + json.dumps(good),  # led by a BOM, which is no JSON whitespace
+        json.dumps(good) + json.dumps(good),  # two objects on one line
+        json.dumps(good) + " " + json.dumps(good),
+    ):
+        src = tmp_path / "broken.jsonl"
+        lines = [record_json_line(r).encode() for r in sample_records[:3]]
+        lines.insert(2, bad if isinstance(bad, bytes) else bad.encode())
+        src.write_bytes(b"\n".join(lines) + b"\n")
+        code, _, err = run_cli(capsys, "report", "--in", str(src))
+        assert code == 2, bad[:80]
+        assert f"{src}:3" in err
+
+
+def check_streamed_report(capsys, tmp_path, shrink_chunks):
+    """`report` over permuted and concatenated parts equals `report` over the
+    whole, read in default chunks; `shrink_chunks(line)` then sets the
+    chunk size the parts are read in."""
+    # Records of several digit classes, strategies and base modes, with
+    # retries, so every table and listing has rows.
+    lines = [
+        record_json_line(record)
+        for config in (
+            CampaignConfig(digits=4, trials=150, master_seed=3),
+            CampaignConfig(digits=5, trials=120, strategy="traditional", retry_limit=1),
+            CampaignConfig(
+                digits=6, trials=90, strategy="dong2023", base_mode="perfect_square"
+            ),
+        )
+        for record in run_campaign(config).records
+    ]
+    whole = tmp_path / "whole.jsonl"
+    whole.write_text("".join(line + "\n" for line in lines))
+    parts = []
+    bounds = (0, 1, 100, 250, 251, len(lines))
+    for index, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        part = tmp_path / f"part{index}.jsonl"
+        part.write_text("".join(line + "\n" for line in lines[lo:hi]))
+        parts.append(str(part))
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text(whole.read_text() * 2)
+
+    def report(inputs):
+        outputs = []
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"report.{fmt}"
+            argv = ["report", "--in", *inputs, "--format", fmt, "--out", str(out)]
+            code, stdout, _ = run_cli(capsys, *argv)
+            assert code == 0
+            outputs += [stdout, out.read_bytes()]
+        return outputs
+
+    expected = report([str(whole)])
+    shrink_chunks(lines[0])
+    assert "digits=6 dong2023" in expected[0] and b"fallback_tried" in expected[1]
+    assert report(parts) == expected
+    assert report(parts[::-1]) == expected
+    assert report([parts[2], parts[0], parts[4], parts[1], parts[3]]) == expected
+    # Each record twice: the same output as the whole given twice.
+    assert report([str(doubled)]) == report([str(whole), str(whole)])
+
+
 class TestReportCommand:
     def test_round_trip_and_merge_equivalence(self, capsys, tmp_path, sample_records):
         whole = tmp_path / "whole.jsonl"
@@ -357,6 +496,27 @@ class TestReportCommand:
         assert curve["inf"] == stats.successes
         assert len(report["failure_cases"]) == stats.failures
 
+    def test_json_artifact_is_laid_out_as_json_dump(self, capsys, tmp_path, sample_records):
+        # The failure rows are written one at a time, in the layout that
+        # json.dump(indent=2, sort_keys=True) gives the whole report.
+        failing = [
+            record
+            for strategy in ("traditional", "allz")
+            for record in run_campaign(
+                CampaignConfig(digits=4, trials=200, strategy=strategy, master_seed=2)
+            ).records
+        ]
+        for records in ([], sample_records, failing):
+            src = tmp_path / "r.jsonl"
+            write_jsonl(src, records)
+            out = tmp_path / "report.json"
+            code, _, _ = run_cli(capsys, "report", "--in", str(src), "--out", str(out))
+            assert code == 0
+            text = out.read_text()
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        factors = [len(case["fail_factors"]) for case in json.loads(text)["failure_cases"]]
+        assert min(factors) == 0 and max(factors) > 1
+
     def test_csv_failure_listing(self, capsys, tmp_path, sample_records):
         src = tmp_path / "r.jsonl"
         write_jsonl(src, sample_records)
@@ -374,78 +534,14 @@ class TestReportCommand:
         assert keys == sorted(keys)
 
     def test_malformed_line_reports_position(self, capsys, tmp_path, sample_records):
-        good = sample_records[2].to_json_dict()
-        assert good["status"] == "success" and good["error"] is None and good["r"] == 792
-        odd = sample_records[0].to_json_dict()
-        assert odd["r"] % 2 == 1 and odd["half_power_is_minus_one"] is None
-        # A real poisoned record: the base 22 is not below n = 21.
-        case = campaign.TrialCase(2, campaign.Semiprime(21, 3, 7), 22, "random", 0)
-        poisoned = campaign.run_trial(case, "allz").to_json_dict()
-        assert TrialRecord.from_json_dict(poisoned).error is not None
-        shortcut = {"status": "success", "factor": 3, "succeeded_z": "shortcut", "resolved": True}
-        case = campaign.TrialCase(2, campaign.Semiprime(21, 3, 7), 6, "random", 0)
-        gcd_shortcut = campaign.run_trial(case, "allz").to_json_dict()
-        assert TrialRecord.from_json_dict(gcd_shortcut).succeeded_z == "shortcut"
-        five = run_campaign(CampaignConfig(digits=5, trials=1, master_seed=0)).records[0].to_json_dict()
-        assert (five["r"], five["r_distinct_primes"]) == (33998, 3)  # 2 * 89 * 191
-        for bad in (
-            "{not json",
-            "[1]",
-            '{"n": ' + "9" * 5000 + "}",  # beyond the int conversion limit
-            json.dumps({**good, "gcd_count": "x"}),
-            json.dumps({**good, "n": True}),  # a bool is not an int
-            json.dumps({**good, "failed_z": ["3"]}),
-            json.dumps({**good, "succeeded_z": 1.5}),
-            json.dumps({**good, "status": "bogus"}),  # neither success nor failure
-            # Typed, but contradicting another field.
-            json.dumps({**good, "n": good["n"] + 2}),  # n != p * q
-            json.dumps({**good, "factor": 7}),  # a success by neither p nor q
-            json.dumps({**good, "gcd_count": -5, "attempts_used": 0}),
-            json.dumps({**good, "succeeded_z": None}),  # a success with no witness
-            json.dumps({**odd, "half_power_is_minus_one": True}),  # r is odd
-            # Out of vocabulary or range.
-            json.dumps({**good, "strategy": "banana"}),
-            json.dumps({**good, "base_mode": "banana"}),
-            json.dumps({**good, "succeeded_z": "banana"}),
-            json.dumps({**good, "bound": 1}),
-            # gcd_count is 0 exactly on a poisoned record, which has no order
-            # and no success.
-            json.dumps({**good, "gcd_count": 0}),
-            json.dumps({**good, "error": "boom"}),
-            json.dumps({**poisoned, "gcd_count": 1}),
-            json.dumps({**poisoned, **shortcut}),
-            json.dumps({**poisoned, "r": 7, "r_digits": 1}),
-            json.dumps({**poisoned, "failed_z": [2]}),
-            json.dumps({**poisoned, "fallback_tried": True}),
-            # r_distinct_primes is 0 exactly when r <= 1, and k distinct primes
-            # of r make r at least 2 * 3 * ... * p_k.
-            json.dumps({**poisoned, "r_distinct_primes": 1}),
-            json.dumps({**good, "r_distinct_primes": 0}),
-            json.dumps({**good, "r_distinct_primes": good["r"].bit_length() + 1}),
-            json.dumps({**five, "r_distinct_primes": 9}),  # 2 * 3 * ... * 23 > 33998
-            # succeeded_z and failed_z hold divisors >= 2 of r = 792.
-            json.dumps({**good, "succeeded_z": 5}),
-            json.dumps({**good, "succeeded_z": 1}),
-            json.dumps({**good, "failed_z": [3, 7]}),
-            json.dumps({**good, "failed_z": [0]}),
-            # r = 792 * 5 keeps every other rule, but an order mod n = 19 * 89
-            # divides lcm(18, 88) = 792.
-            json.dumps({**good, "r": 3960, "r_digits": 4, "r_distinct_primes": 4}),
-            # A clean record's base lies in [2, n - 1], and it is no unit
-            # exactly on a gcd shortcut.
-            json.dumps({**good, "a": good["n"] + 313}),
-            json.dumps({**good, "a": 1}),
-            json.dumps({**good, "a": 2 * 19}),  # n = 19 * 89
-            json.dumps({**gcd_shortcut, "a": 2}),
-            b"\xff\xfe\x00bad",  # not UTF-8
-        ):
-            src = tmp_path / "broken.jsonl"
-            lines = [record_json_line(r).encode() for r in sample_records[:3]]
-            lines.insert(2, bad if isinstance(bad, bytes) else bad.encode())
-            src.write_bytes(b"\n".join(lines) + b"\n")
-            code, _, err = run_cli(capsys, "report", "--in", str(src))
-            assert code == 2, bad[:80]
-            assert f"{src}:3" in err
+        check_malformed_lines(capsys, tmp_path, sample_records)
+
+    @pytest.mark.parametrize("read", CHUNK_READS)
+    def test_malformed_line_reports_position_in_small_chunks(
+        self, capsys, tmp_path, monkeypatch, sample_records, read
+    ):
+        set_chunk_bytes(monkeypatch, read, record_json_line(sample_records[0]))
+        check_malformed_lines(capsys, tmp_path, sample_records)
 
     def test_deeply_nested_line_exits_2_with_one_line(self, capsys, tmp_path):
         # Nested past the JSON decoder's recursion limit.
@@ -458,47 +554,58 @@ class TestReportCommand:
     def test_streamed_report_matches_over_permuted_and_concatenated_parts(
         self, capsys, tmp_path
     ):
-        # Records of several digit classes, strategies and base modes, with
-        # retries, so every table and listing has rows.
-        lines = [
-            record_json_line(record)
-            for config in (
-                CampaignConfig(digits=4, trials=150, master_seed=3),
-                CampaignConfig(digits=5, trials=120, strategy="traditional", retry_limit=1),
-                CampaignConfig(
-                    digits=6, trials=90, strategy="dong2023", base_mode="perfect_square"
-                ),
-            )
-            for record in run_campaign(config).records
-        ]
-        whole = tmp_path / "whole.jsonl"
-        whole.write_text("".join(line + "\n" for line in lines))
-        parts = []
-        bounds = (0, 1, 100, 250, 251, len(lines))
-        for index, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-            part = tmp_path / f"part{index}.jsonl"
-            part.write_text("".join(line + "\n" for line in lines[lo:hi]))
-            parts.append(str(part))
-        doubled = tmp_path / "doubled.jsonl"
-        doubled.write_text(whole.read_text() * 2)
+        check_streamed_report(capsys, tmp_path, lambda line: None)
 
-        def report(inputs):
-            outputs = []
-            for fmt in ("json", "csv"):
-                out = tmp_path / f"report.{fmt}"
-                argv = ["report", "--in", *inputs, "--format", fmt, "--out", str(out)]
-                code, stdout, _ = run_cli(capsys, *argv)
-                assert code == 0
-                outputs += [stdout, out.read_bytes()]
-            return outputs
+    @pytest.mark.parametrize("read", CHUNK_READS)
+    def test_streamed_report_matches_in_small_chunks(self, capsys, tmp_path, monkeypatch, read):
+        check_streamed_report(
+            capsys, tmp_path, lambda line: set_chunk_bytes(monkeypatch, read, line)
+        )
 
-        expected = report([str(whole)])
-        assert "digits=6 dong2023" in expected[0] and b"fallback_tried" in expected[1]
-        assert report(parts) == expected
-        assert report(parts[::-1]) == expected
-        assert report([parts[2], parts[0], parts[4], parts[1], parts[3]]) == expected
-        # Each record twice: the same output as the whole given twice.
-        assert report([str(doubled)]) == report([str(whole), str(whole)])
+    @pytest.mark.parametrize("read", ("64 KiB", *CHUNK_READS))
+    def test_line_ends_and_edge_lines_at_every_chunk_size(
+        self, capsys, tmp_path, monkeypatch, sample_records, read
+    ):
+        lines = [record_json_line(r).encode() for r in sample_records]
+        if read != "64 KiB":
+            set_chunk_bytes(monkeypatch, read, lines[0])
+
+        def report(*files):
+            """Exit code, stdout, stderr and artifact of `report` over (name, bytes) files."""
+            paths = []
+            for name, data in files:
+                (tmp_path / name).write_bytes(data)
+                paths.append(str(tmp_path / name))
+            out = tmp_path / "report.json"
+            out.unlink(missing_ok=True)
+            code, stdout, err = run_cli(capsys, "report", "--in", *paths, "--out", str(out))
+            return code, stdout, err, out.read_bytes() if out.exists() else None
+
+        def malformed(name, lineno):
+            return 2, "", f"error: {tmp_path / name}:{lineno}: malformed record line\n", None
+
+        def joined(lines, end=b"\n"):
+            return b"".join(line + end for line in lines)
+
+        clean = report(("clean.jsonl", joined(lines)))
+        assert clean[0] == 0
+        # Accepted as the clean file: the reader strips each line as str.strip
+        # does, which takes the ASCII separators (\x1c..\x1f) for whitespace.
+        led = list(lines)
+        led[4] = b" " + led[4]
+        led[6] = b"\x1c" + led[6]
+        for data in (joined(lines, b"\r\n"), b"\n".join(lines), joined(led)):
+            assert report(("edge.jsonl", data)) == clean
+        # A byte that is not UTF-8, in a later 64 KiB chunk of the second file.
+        second = lines * 3
+        second[299] = second[299].replace(b'"allz"', b'"al\xffz"')
+        assert len(joined(second[:299])) > 1 << 16
+        files = ("first.jsonl", joined(lines)), ("second.jsonl", joined(second))
+        assert report(*files) == malformed("second.jsonl", 300)
+        # As one JSON array these lines hold three objects, but no line holds one.
+        three = [b'{"a":[{}', b"{}]}", b"{},{}"]
+        assert len(json.loads(b"[" + b",".join(three) + b"]")) == 3
+        assert report(("three.jsonl", joined(three))) == malformed("three.jsonl", 1)
 
     def test_negative_mean_keeps_its_sign(self, capsys, tmp_path):
         # A negative r_digits would give the mean (-11 + 5 + 5) / 3 = -1/3,
