@@ -41,6 +41,7 @@ from .period_oracle import (
     lcm_of_orders,
     multiplicative_order,
     order_brute_force,
+    order_mod_primes,
 )
 from .strategies import (
     AttemptResult,
@@ -84,6 +85,7 @@ __all__ = [
     "mix64",
     "multiplicative_order",
     "order_brute_force",
+    "order_mod_primes",
     "perfect_square_root",
     "random_prime",
     "run_campaign",

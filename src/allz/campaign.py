@@ -25,19 +25,19 @@ import os
 import struct
 import sys
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
 from operator import attrgetter, contains, itemgetter
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Literal
 
-from .numtheory import _SMALL_PRIMES, factorize, is_probable_prime
+from .numtheory import _SMALL_PRIMES, _odd_factor_table, factorize, is_probable_prime
 from .period_oracle import (
     PeriodRecord,
     carmichael_exponent,
-    lcm_of_orders,
     multiplicative_order,
+    order_mod_primes,
 )
 from .strategies import FactorOutcome, all_z, dong2023, traditional_shor
 
@@ -600,23 +600,21 @@ def order_function(sp: Semiprime) -> Callable[[int], PeriodRecord]:
     """The factored order of a unit mod sp.n, as a function of the unit.
 
     Below `_DIRECT_ORDER_LIMIT` the order is reduced mod n from the
-    factored lcm(p - 1, q - 1); above it, mod p and mod q from the factored
-    p - 1 and q - 1, and merged by lcm (CRT). Both give the same order.
-    Either way `carmichael_exponent` first checks that p and q are distinct
-    primes, without which the order mod p*q would not be the lcm of the
-    orders mod p and mod q. The factoring is done here, once per modulus;
-    the returned function looks `multiplicative_order` up on each call.
+    factored lcm(p - 1, q - 1) by `multiplicative_order`; above it, mod p
+    and mod q from the factored p - 1 and q - 1 and merged by lcm (CRT) in
+    one pass of `order_mod_primes`. Both give the same order. Either way
+    `carmichael_exponent` first checks that p and q are distinct primes,
+    without which the order mod p*q would not be the lcm of the orders mod
+    p and mod q. The factoring is done here, once per modulus; the
+    returned function looks the oracle up by name on each call.
     """
     n, p, q = sp.n, sp.p, sp.q
     lam = carmichael_exponent(p, q)
     if n < _DIRECT_ORDER_LIMIT:
         hint = factorize(lam)
         return lambda a: multiplicative_order(a, n, exponent_hint=hint)
-    hint_p, hint_q = factorize(p - 1), factorize(q - 1)
-    return lambda a: lcm_of_orders(
-        multiplicative_order(a % p, p, exponent_hint=hint_p),
-        multiplicative_order(a % q, q, exponent_hint=hint_q),
-    )
+    parts = ((p, factorize(p - 1)), (q, factorize(q - 1)))
+    return lambda a: order_mod_primes(a, parts)
 
 
 def run_trial(
@@ -631,12 +629,14 @@ def run_trial(
     `order_function` when the caller already has it; otherwise it is made
     here when needed. A precondition violation comes back as a poisoned
     record: a failure with no order, no attempts and the error message.
+    No order is found for a base outside [2, n - 1] or for a non-unit, so
+    the strategy's own check names the fault, whichever order path n takes.
     """
     sp = case.semiprime
     n, a = sp.n, case.a
     error = None
     try:
-        if math.gcd(a, n) > 1:
+        if not 2 <= a < n or math.gcd(a, n) > 1:
             period = None
         else:
             period = (order or order_function(sp))(a)
@@ -873,7 +873,13 @@ def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
             break  # tiny modulus: no unused base left to try
         tried.add(a_next)
         attempts_used += 1
-        retry_case = replace(case, a=a_next)
+        retry_case = TrialCase(
+            case_id=case.case_id,
+            semiprime=case.semiprime,
+            a=a_next,
+            base_mode=case.base_mode,
+            seed=case.seed,
+        )
         retry_record = run_trial(retry_case, config.strategy, config.bound, order)
         if retry_record.status == "success":
             resolved = True
@@ -933,6 +939,9 @@ def campaign_blocks(config: CampaignConfig) -> Iterator[Block]:
     if processes < 2:
         yield from map(_run_block, blocks)
         return
+    # Built here, the odd factor table is inherited by forked workers, which
+    # would otherwise each build their own (~2 ms) on every campaign.
+    _odd_factor_table()
     with multiprocessing.Pool(processes=processes) as pool:
         yield from pool.imap(_run_block, blocks)
 

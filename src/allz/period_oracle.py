@@ -7,15 +7,17 @@ oracle may factor n internally (it plays the role of an idealized quantum
 subroutine); callers downstream only ever see (n, a, r).
 
 The campaign, which knows n = p*q, gets its orders prime by prime once
-n is longer than one CPython digit: the order mod p reduced from the
-factored p - 1, the same for q, and `lcm_of_orders` merges the two, since
-by the CRT the order mod p*q is their lcm.
+n is longer than one CPython digit: `order_mod_primes` reduces the order
+mod p from the factored p - 1, the same for q, and merges the two in the
+same pass, since by the CRT the order mod p*q is their lcm.
+`lcm_of_orders` is that merge on two finished orders.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from .numtheory import Factorization, factorize, is_probable_prime
 
@@ -95,6 +97,35 @@ def multiplicative_order(
         if mult:
             remaining.append((z, mult))
     return PeriodRecord(order=r, factors=Factorization(tuple(remaining)))
+
+
+def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> PeriodRecord:
+    """The factored order of a modulo the product of distinct primes.
+
+    `parts` holds each prime p with the factored p - 1. Per prime, the
+    order of a mod p is reduced from that exponent as `multiplicative_order`
+    does, with its checks and messages. By the CRT the order mod the
+    product is the lcm of these orders, so each prime of the order keeps
+    its largest valuation over the parts. One factorization and one record
+    are built, both validated.
+    """
+    order = 1
+    valuations: dict[int, int] = {}
+    for p, hint in parts:
+        b = a % p
+        if b == 0:
+            raise ValueError(f"base must satisfy 1 <= a < n, got a={b}, n={p}")
+        r = hint.value
+        if pow(b, r, p) != 1:
+            raise ValueError("exponent hint does not annihilate the base")
+        for z, mult in hint.entries:
+            while mult and pow(b, r // z, p) == 1:
+                r //= z
+                mult -= 1
+            if mult > valuations.get(z, 0):
+                valuations[z] = mult
+        order = math.lcm(order, r)
+    return PeriodRecord(order=order, factors=Factorization(tuple(sorted(valuations.items()))))
 
 
 def lcm_of_orders(first: PeriodRecord, second: PeriodRecord) -> PeriodRecord:

@@ -37,7 +37,12 @@ from allz.campaign import (
     sample_semiprime,
 )
 from allz.numtheory import factorize, is_probable_prime, perfect_square_root
-from allz.period_oracle import carmichael_exponent, lcm_of_orders, multiplicative_order
+from allz.period_oracle import (
+    carmichael_exponent,
+    lcm_of_orders,
+    multiplicative_order,
+    order_mod_primes,
+)
 
 
 class TestSeedDerivation:
@@ -302,6 +307,17 @@ class TestRunTrial:
         assert record.r == 0
         assert failure_reason(record) == "precondition_error"
 
+    @pytest.mark.parametrize("strategy", ["allz", "traditional", "dong2023"])
+    def test_base_beyond_n_poisons_alike_on_both_order_paths(self, strategy):
+        # The small modulus takes the direct order path, the large one the
+        # CRT path; neither finds an order for a base >= n.
+        small, large = 1009 * 1013, 999_983 * 1_000_003
+        assert small < campaign._DIRECT_ORDER_LIMIT <= large
+        for n, p, q in [(small, 1009, 1013), (large, 999_983, 1_000_003)]:
+            record = run_trial(make_case(n, p, q, n + 2), strategy)
+            assert (record.status, record.r, record.attempts_used) == ("failure", 0, 1)
+            assert record.error == f"base must satisfy 2 <= a < n, got a={n + 2}, n={n}"
+
     def test_bounded_run_still_reports_full_r_structure(self):
         record = run_trial(make_case(2540107, 1567, 1621, 1316667), "allz", bound=2)
         assert record.failed_z == ()  # 3 is beyond the bound
@@ -330,6 +346,8 @@ class TestOrderByPrimes:
                 multiplicative_order(a % sp.q, sp.q, exponent_hint=factorize(sp.q - 1)),
             )
             assert composed == direct
+            parts = ((sp.p, factorize(sp.p - 1)), (sp.q, factorize(sp.q - 1)))
+            assert order_mod_primes(a, parts) == direct
             record = run_trial(case, "allz")
             assert (record.r, record.r_distinct_primes) == (direct.order, len(direct.factors.entries))
             by_primes += sp.n >= campaign._DIRECT_ORDER_LIMIT
@@ -337,20 +355,26 @@ class TestOrderByPrimes:
 
     def test_order_is_reduced_mod_n_or_mod_p_and_q(self, monkeypatch):
         moduli = []
-        order = campaign.multiplicative_order
+        direct_order = campaign.multiplicative_order
+        order_by_primes = campaign.order_mod_primes
 
-        def spy(a, n, exponent_hint=None):
+        def direct_spy(a, n, exponent_hint=None):
             moduli.append(n)
-            return order(a, n, exponent_hint=exponent_hint)
+            return direct_order(a, n, exponent_hint=exponent_hint)
+
+        def by_primes_spy(a, parts):
+            moduli.extend(prime for prime, _ in parts)
+            return order_by_primes(a, parts)
 
         small = make_case(1567 * 1621, 1567, 1621, 1316667)
         p, q = 999_983, 1_000_003
         large = make_case(p * q, p, q, 2)
         assert small.semiprime.n < campaign._DIRECT_ORDER_LIMIT <= large.semiprime.n
-        # Made before the spy goes in: the order function looks the oracle
+        # Made before the spies go in: the order function looks the oracle
         # up when it is called, as the benchmark's tracer needs.
         large_order = campaign.order_function(large.semiprime)
-        monkeypatch.setattr(campaign, "multiplicative_order", spy)
+        monkeypatch.setattr(campaign, "multiplicative_order", direct_spy)
+        monkeypatch.setattr(campaign, "order_mod_primes", by_primes_spy)
         assert run_trial(small, "allz").r == 27
         assert moduli == [small.semiprime.n]
         moduli.clear()

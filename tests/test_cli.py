@@ -122,8 +122,12 @@ class TestInputBoundary:
 
 
 def test_import_builds_no_class_sieve():
-    # Every CLI call pays the import; a prime class's sieve waits for its first draw.
-    code = "import allz.cli; print(allz.campaign._prime_draw_params.cache_info().currsize)"
+    # Every CLI call pays the import; a prime class's sieve waits for its
+    # first draw, and the odd factor table for its first lookup.
+    code = (
+        "import allz.cli; print(allz.campaign._prime_draw_params.cache_info().currsize,"
+        " allz.numtheory._odd_factor_table.cache_info().currsize)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -131,7 +135,7 @@ def test_import_builds_no_class_sieve():
         env={**os.environ, "PYTHONPATH": SRC_DIR},
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (0, "0\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "0 0\n"), proc.stderr
 
 
 class TestRhoExhaustion:

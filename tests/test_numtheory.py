@@ -12,6 +12,7 @@ from allz.campaign import _prime_draw_params
 from allz.numtheory import (
     Factorization,
     _SMALL_PRIMES,
+    _odd_factor_table,
     distinct_primes_bounded,
     factorize,
     is_probable_prime,
@@ -238,3 +239,56 @@ def test_small_prime_table_is_complete():
 def test_class_sieves_are_exact(digit_count):
     lo, span, _, sieve = _prime_draw_params(digit_count)
     assert sieve == sieve_to_1m()[lo : lo + span]
+
+
+def trial_division_factors(x):
+    """The (prime, multiplicity) pairs of x >= 1, by dividing by every d >= 2."""
+    out = []
+    d = 2
+    while d * d <= x:
+        if x % d == 0:
+            mult = 0
+            while x % d == 0:
+                x //= d
+                mult += 1
+            out.append((d, mult))
+        d += 1
+    if x > 1:
+        out.append((x, 1))
+    return tuple(out)
+
+
+class TestOddFactorTable:
+    def test_zero_exactly_at_odd_primes(self):
+        table = _odd_factor_table()
+        assert len(table) == 500_000
+        zero_to_one = bytes([1]) + bytes(255)
+        # Entry x >> 1 is odd x; entry 0 (x = 1) is 0 but unused.
+        assert table.translate(zero_to_one)[1:] == sieve_to_1m()[3 : 10**6 : 2]
+
+    def test_entry_is_the_least_prime_factor(self):
+        table = _odd_factor_table()
+        top = max(table)
+        assert _SMALL_PRIMES[top] == 997
+        for index in range(1, top + 1):
+            p = _SMALL_PRIMES[index]
+            # Every entry `index` sits on an odd multiple of p from p * p on ...
+            assert table.count(index) == table[p * p >> 1 :: p].count(index), p
+            # ... and no odd multiple of p past p has a larger least factor.
+            assert max(table[3 * p >> 1 :: p]) <= index, p
+
+    @pytest.mark.parametrize(
+        "x",
+        [9999, 10**4, 10**4 + 1, 2**19, 997**2, 999_983, 999_999, 10**6, 10**6 + 3],
+    )
+    def test_edges_match_trial_division(self, x):
+        entries = trial_division_factors(x)
+        assert factorize(x).entries == entries
+        assert is_probable_prime(x) == (entries == ((x, 1),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=2 * 10**6 - 1))
+    def test_matches_trial_division(self, x):
+        entries = trial_division_factors(x)
+        assert factorize(x).entries == entries
+        assert is_probable_prime(x) == (entries == ((x, 1),))

@@ -13,6 +13,7 @@ from allz.period_oracle import (
     lcm_of_orders,
     multiplicative_order,
     order_brute_force,
+    order_mod_primes,
 )
 
 
@@ -160,7 +161,8 @@ class TestLcmOfOrders:
 
     def test_every_unit_of_small_semiprimes_matches_direct_order(self):
         # The campaign's composition: the order mod p from the factored
-        # p - 1, the same for q, merged by lcm. p = 2 is included.
+        # p - 1, the same for q, merged by lcm, and order_mod_primes doing
+        # both in one pass. p = 2 is included.
         orders_mod = {}
 
         def order_mod(x, prime):
@@ -176,10 +178,33 @@ class TestLcmOfOrders:
         assert semis[0] == (6, 2, 3)
         for n, p, q in semis:
             hint = factorize(carmichael_exponent(p, q))
+            parts = ((p, factorize(p - 1)), (q, factorize(q - 1)))
             for a in range(1, n):
                 if math.gcd(a, n) == 1:
                     composed = lcm_of_orders(order_mod(a % p, p), order_mod(a % q, q))
                     assert composed == multiplicative_order(a, n, exponent_hint=hint), (a, n)
+                    assert order_mod_primes(a, parts) == composed, (a, n)
+
+
+class TestOrderModPrimes:
+    def test_base_reduced_mod_each_prime(self):
+        # a = n + 2 is 2 mod p and mod q, so its order is that of 2 mod n.
+        p, q = 1009, 1013
+        parts = ((p, factorize(p - 1)), (q, factorize(q - 1)))
+        assert order_mod_primes(p * q + 2, parts) == multiplicative_order(2, p * q)
+
+    def test_composite_prime_whose_hint_fails_raises(self):
+        # 15 is no prime: 2**14 = 4 (mod 15), so its "p - 1" annihilates nothing.
+        with pytest.raises(ValueError, match="does not annihilate"):
+            order_mod_primes(2, ((7, factorize(6)), (15, factorize(14))))
+
+    def test_non_unit_raises_the_direct_oracle_message(self):
+        parts = ((7, factorize(6)), (11, factorize(10)))
+        with pytest.raises(ValueError) as direct:
+            multiplicative_order(0, 7, exponent_hint=factorize(6))
+        with pytest.raises(ValueError) as by_primes:
+            order_mod_primes(14, parts)
+        assert str(by_primes.value) == str(direct.value)
 
 
 class TestPeriodRecord:
