@@ -29,8 +29,20 @@ from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
-from operator import attrgetter, contains, itemgetter
-from typing import Any, BinaryIO, Callable, Iterable, Iterator, Literal
+from json.encoder import encode_basestring_ascii as _quote
+from operator import contains, itemgetter
+from typing import (
+    Any,
+    BinaryIO,
+    Callable,
+    Iterable,
+    Iterator,
+    Literal,
+    NamedTuple,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 from .numtheory import _SMALL_PRIMES, _odd_factor_table, factorize, is_probable_prime
 from .period_oracle import (
@@ -192,14 +204,17 @@ class TrialCase:
     seed: int
 
 
-@dataclass(frozen=True)
-class TrialRecord:
+class TrialRecord(NamedTuple):
     """Everything one trial produced, flat and JSON-ready.
 
     `status`/`factor` describe the first attempt only; `attempts_used` and
     `resolved` additionally describe what happened once same-n retries
     with fresh bases were allowed. A precondition violation poisons the
     record via `error` instead of being dropped.
+
+    A named tuple: built, encoded and read by field position, immutable,
+    and equal to a plain tuple of the same values. `_replace` and
+    `_asdict` stand in for `dataclasses.replace` and `vars`.
     """
 
     case_id: int
@@ -229,8 +244,7 @@ class TrialRecord:
     error: str | None
 
     def to_json_dict(self) -> dict[str, Any]:
-        # The instance dict holds the fields and nothing else, in field order.
-        out = dict(vars(self))
+        out = self._asdict()
         out["failed_z"] = list(self.failed_z)
         return out
 
@@ -307,42 +321,60 @@ class TrialRecord:
             raise ValueError("a success is resolved by its first attempt")
         if resolved and attempts_used < 2 and not success:
             raise ValueError("a failure is resolved only by a retry")
-        return _new_record(values)
+        return cls._make(values)
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(TrialRecord))
+_RECORD_FIELDS = TrialRecord._fields
 _FAILED_Z_INDEX = _RECORD_FIELDS.index("failed_z")
 # The fields' values of a decoded JSON object, in field order.
 _record_values = itemgetter(*_RECORD_FIELDS)
-# The JSON value types each record field accepts, read off its annotation
-# and matched exactly, so a bool is no int. A tuple travels as a list.
-_JSON_TYPES = {"int": int, "str": str, "bool": bool, "None": type(None), "tuple[int, ...]": list}
-_RECORD_TYPES = tuple(
-    tuple(_JSON_TYPES[t] for t in f.type.split(" | ")) for f in fields(TrialRecord)
-)
 
 
-def _new_record(values: Iterable[Any]) -> TrialRecord:
-    """The record whose fields are `values`, in field order.
-
-    Its instance dict, the one `to_json_dict` reads, is filled directly:
-    no keyword binding and none of the frozen dataclass's per-field
-    setattr calls. The values are taken as they are, so the caller makes
-    or checks them.
-    """
-    record = object.__new__(TrialRecord)
-    vars(record).update(zip(_RECORD_FIELDS, values))
-    return record
+def _json_types(hint: Any) -> tuple[type, ...]:
+    """The JSON value types a record field of type `hint` accepts, matched
+    exactly, so a bool is no int. A tuple travels as a list."""
+    if get_origin(hint) is tuple:
+        return (list,)
+    return get_args(hint) or (hint,)
 
 
-# One compact encoder for every record: json.dumps builds a new one per
-# call whenever separators are given.
-_RECORD_ENCODER = json.JSONEncoder(separators=(",", ":"))
+# Read off the evaluated annotations, in field order: under postponed
+# evaluation the class holds them as forward references, whose form
+# varies across versions.
+_RECORD_TYPES = tuple(map(_json_types, _record_values(get_type_hints(TrialRecord))))
+
+# A record's line with each value's JSON text in place of its `%s`: one
+# object, its keys in field order, no spaces, as compact `json.dumps` writes it.
+_RECORD_LINE = "{" + ",".join(_quote(name) + ":%s" for name in _RECORD_FIELDS) + "}"
+# JSON's literals. Looked up by value, so only for fields that hold no int:
+# an int 1 would find true.
+_LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def record_json_line(record: TrialRecord) -> str:
-    """One results-file line of the record, without its line end."""
-    return _RECORD_ENCODER.encode(record.to_json_dict())
+    """One results-file line of the record, without its line end.
+
+    Byte for byte `json.dumps(record.to_json_dict(), separators=(",", ":"))`:
+    an int is written by its repr and a string by the encoder's own ASCII
+    quoting function, as `json.dumps` writes them.
+    """
+    (
+        case_id, digits, n, p, q, a, base_mode, seed, strategy, bound, status, factor, r, r_digits,
+        distinct, z, failed_z, fallback_tried, fallback_succeeded, gcd_count, r_even,
+        half_power_is_minus_one, attempts_used, resolved, error,
+    ) = record
+    return _RECORD_LINE % (
+        case_id, digits, n, p, q, a, _quote(base_mode), seed, _quote(strategy),
+        "null" if bound is None else bound,
+        _quote(status),
+        "null" if factor is None else factor,
+        r, r_digits, distinct,
+        "null" if z is None else _quote(z) if type(z) is str else z,
+        "[" + ",".join(map(str, failed_z)) + "]",
+        _LITERALS[fallback_tried], _LITERALS[fallback_succeeded], gcd_count, _LITERALS[r_even],
+        _LITERALS[half_power_is_minus_one], attempts_used, _LITERALS[resolved],
+        "null" if error is None else _quote(error),
+    )
 
 
 # json.loads less its per-call type and BOM checks: the reader strips the
@@ -617,6 +649,16 @@ def order_function(sp: Semiprime) -> Callable[[int], PeriodRecord]:
     return lambda a: order_mod_primes(a, parts)
 
 
+def _half_power_is_minus_one(a: int, h: int, p: int, q: int) -> bool:
+    """Whether a**h == -1 mod p*q, for a unit a and distinct primes p and q.
+
+    By the CRT, exactly when a**h == -1 mod p and mod q: two powers to a
+    prime modulus cost less than one to p*q. Each exponent is reduced mod
+    p - 1 (or q - 1), which by Fermat leaves a unit's power unchanged.
+    """
+    return pow(a, h % (p - 1), p) == p - 1 and pow(a, h % (q - 1), q) == q - 1
+
+
 def run_trial(
     case: TrialCase,
     strategy: StrategyName,
@@ -648,7 +690,7 @@ def run_trial(
     succeeded_z = outcome.succeeded_z
     digits, status, r_digits, r_even, fallback_succeeded = _dependent_fields(n, r, succeeded_z)
     # The values in field order.
-    return _new_record(
+    return TrialRecord._make(
         (
             case.case_id,
             digits,
@@ -672,7 +714,7 @@ def run_trial(
             # gcd_count: a poisoned record counts no gcd, not even the gcd(a, n) probe.
             0 if error is not None else outcome.gcd_count,
             r_even,
-            pow(a, r // 2, n) == n - 1 if r_even else None,
+            _half_power_is_minus_one(a, r // 2, sp.p, sp.q) if r_even else None,
             1,  # attempts_used
             status == "success",  # resolved
             error,
@@ -791,7 +833,8 @@ _Absorbed = namedtuple(
         "half_power_is_minus_one", "succeeded_z", "fallback_succeeded",
     ),
 )
-_absorbed = attrgetter(*_Absorbed._fields)
+# By field index, which costs less than the named tuple's attribute lookups.
+_absorbed = itemgetter(*map(_RECORD_FIELDS.index, _Absorbed._fields))
 
 
 class RecordTally:
@@ -884,8 +927,7 @@ def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
         if retry_record.status == "success":
             resolved = True
             break
-    retried = {**vars(record), "attempts_used": attempts_used, "resolved": resolved}
-    return _new_record(retried.values())
+    return record._replace(attempts_used=attempts_used, resolved=resolved)
 
 
 Block = tuple[bytes, CampaignStats]

@@ -1,15 +1,17 @@
 """Tests for seeded sampling, trial execution, and mergeable statistics."""
 
+import json
 import math
-from dataclasses import fields, replace
+from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from conftest import semiprimes_below
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from allz import campaign
+from allz import campaign, cli
 from allz.campaign import (
     BOUND_CLASSES,
     GOLDEN,
@@ -334,7 +336,7 @@ class TestOrderByPrimes:
     @pytest.mark.parametrize("base_mode", ["random", "perfect_square"])
     def test_sampled_large_cases(self, digits, base_mode):
         config = CampaignConfig(digits=digits, trials=50, base_mode=base_mode, master_seed=digits)
-        by_primes = 0
+        by_primes = even = 0
         for case_id in range(config.trials):
             case = campaign._build_case(config, case_id)
             sp, a = case.semiprime, case.a
@@ -350,8 +352,41 @@ class TestOrderByPrimes:
             assert order_mod_primes(a, parts) == direct
             record = run_trial(case, "allz")
             assert (record.r, record.r_distinct_primes) == (direct.order, len(direct.factors.entries))
+            # The mod-n order path gives the same record, half-power field included.
+            assert run_trial(case, "allz", order=lambda _: direct) == record
+            h = record.r // 2
+            assert record.half_power_is_minus_one == (
+                pow(a, h, sp.n) == sp.n - 1 if record.r_even else None
+            )
             by_primes += sp.n >= campaign._DIRECT_ORDER_LIMIT
+            even += record.r_even
         assert by_primes > config.trials // 2  # run_trial mostly took the CRT path
+        assert even >= 10  # and the half-power field was set
+
+    def test_half_power_by_primes_matches_mod_n_on_every_small_unit(self):
+        # Every unit of every semiprime below 2000, p = 2 included, at h = r / 2
+        # for each even order r: then a**h is +-1 mod p and mod q, and on
+        # some units only one of them is -1.
+        orders_mod = {}
+        one_side = 0
+        for n, p, q in semiprimes_below(2000):
+            for prime in (p, q):
+                if prime not in orders_mod:
+                    hint = factorize(prime - 1)
+                    orders_mod[prime] = [None] + [
+                        multiplicative_order(y, prime, exponent_hint=hint).order
+                        for y in range(1, prime)
+                    ]
+            by_p, by_q = orders_mod[p], orders_mod[q]
+            for a in range(2, n):
+                if a % p and a % q:
+                    r = math.lcm(by_p[a % p], by_q[a % q])
+                    if r % 2 == 0:
+                        h = r // 2
+                        want = pow(a, h, n) == n - 1
+                        assert campaign._half_power_is_minus_one(a, h, p, q) == want, (a, n)
+                        one_side += not want and (pow(a, h, p) == p - 1 or pow(a, h, q) == q - 1)
+        assert one_side > 1000
 
     def test_order_is_reduced_mod_n_or_mod_p_and_q(self, monkeypatch):
         moduli = []
@@ -539,7 +574,7 @@ class TestCampaign:
         plain = run_campaign(base)
         retried = run_campaign(replace(base, retry_limit=3))
         for a, b in zip(plain.records, retried.records):
-            assert replace(a, attempts_used=b.attempts_used, resolved=b.resolved) == b
+            assert a._replace(attempts_used=b.attempts_used, resolved=b.resolved) == b
         assert plain.stats.successes == retried.stats.successes
         resolved_extra = sum(
             1 for r in retried.records if r.resolved and r.status == "failure"
@@ -560,13 +595,13 @@ class TestCampaign:
         base = run_trial(make_case(21, 3, 7, 2), "allz")  # succeeds via z=2
         one_digit = compute_metrics([base]).cumulative_success_by_bound
         assert one_digit == {c: 1 for c in BOUND_CLASSES}
-        two_digit = compute_metrics([replace(base, succeeded_z=23)])
+        two_digit = compute_metrics([base._replace(succeeded_z=23)])
         assert two_digit.cumulative_success_by_bound == {
             "2": 1, "3": 1, "4": 1, "inf": 1
         }
-        five_digit = compute_metrics([replace(base, succeeded_z=10007)])
+        five_digit = compute_metrics([base._replace(succeeded_z=10007)])
         assert five_digit.cumulative_success_by_bound == {"inf": 1}
-        marker = compute_metrics([replace(base, succeeded_z="fallback")])
+        marker = compute_metrics([base._replace(succeeded_z="fallback")])
         assert marker.cumulative_success_by_bound == {c: 1 for c in BOUND_CLASSES}
 
     def test_retries_resolve_losses_at_desk_scale(self):
@@ -700,7 +735,7 @@ class TestStatsAlgebra:
         # No campaign here fails `traditional` with a failed_z, which alone
         # would move the failure to another reason.
         failure = next(r for r in records if r.strategy == "traditional" and r.status == "failure")
-        records.append(replace(failure, failed_z=(2,)))
+        records.append(failure._replace(failed_z=(2,)))
         # In chunks, as `report` tallies them, and with records repeated.
         tally = campaign.RecordTally()
         for lo in range(0, len(records), 7):
@@ -765,15 +800,80 @@ class TestRecordSerialization:
 
     def test_decoded_records_rebuild_their_lines(self):
         records = varied_records()
-        names = [f.name for f in fields(TrialRecord)]
+        names = list(TrialRecord._fields)
         for record in records:
             line = record_json_line(record)
+            assert line == compact_json(record)  # the reference encoder
             decoded = TrialRecord.from_json_dict(record.to_json_dict())
             assert decoded == record
-            assert list(vars(record)) == list(vars(decoded)) == names
+            assert list(record._asdict()) == list(decoded._asdict()) == names
             assert record_json_line(decoded) == line
             assert record_from_json_line(line.encode()) == record
             assert record_from_json_line(line) == record
         lines = "\n".join(map(record_json_line, records))
         assert campaign.decode_chunk(lines.encode()) == records
         assert campaign.decode_chunk(lines.encode() + b"\n") == records
+
+    def test_line_template_on_edge_values(self):
+        base = run_trial(make_case(21, 3, 7, 2), "allz")
+        edges = {
+            "case_id": (0, (1 << 64) - 1, 1 << 64),
+            "seed": (0, 1 << 64),
+            "n": (-1, 1 << 64),
+            "base_mode": ("", 'a"b', "é"),
+            "bound": (None, 2, 1 << 64),
+            "factor": (None, 7, 1 << 64),
+            "succeeded_z": (None, 2, 1 << 64, "fallback", "shortcut"),
+            "failed_z": ((), (2,), (3, 6, 9, 1 << 64)),
+            "fallback_tried": (True, False),
+            "fallback_succeeded": (True, False),
+            "r_even": (True, False),
+            "resolved": (True, False),
+            "half_power_is_minus_one": (None, True, False),
+            "error": (
+                None,
+                "",
+                'a quote " and a backslash \\',
+                "controls \t\n\r\x00\x07\x1f\x7f",
+                "non-ASCII \xe9 \xdf \u221e \xa0 \u2028",
+                "astral \U0001F600 \U0001D538",
+            ),
+        }
+        for name, values in edges.items():
+            for value in values:
+                record = base._replace(**{name: value})
+                assert record_json_line(record) == compact_json(record), (name, value)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_line_template_on_any_values(self, data):
+        wide = st.integers(-(1 << 64), 1 << 64)
+        kinds = {int: wide, str: st.text(), bool: st.booleans(), type(None): st.none()}
+        values = []
+        for name, types in zip(TrialRecord._fields, campaign._RECORD_TYPES):
+            if types == (list,):
+                values.append(tuple(data.draw(st.lists(wide, max_size=6), label=name)))
+            else:
+                values.append(data.draw(st.one_of([kinds[t] for t in types]), label=name))
+        record = TrialRecord._make(values)
+        assert record_json_line(record) == compact_json(record)
+
+    def test_record_shape(self):
+        config = CampaignConfig(digits=5, trials=3, strategy="traditional", retry_limit=2)
+        chunk, _ = next(campaign_blocks(config))
+        assert TrialRecord._fields == tuple(json.loads(chunk.split(b"\n")[0]))
+        records = varied_records()
+        with pytest.raises(AttributeError):
+            records[0].r = 1
+        row_fields = ("digits", "n", "a", "case_id", "r", "failed_z", "fallback_tried")
+        for record in records:
+            decoded = TrialRecord.from_json_dict(record.to_json_dict())
+            assert type(decoded) is TrialRecord
+            absorbed = tuple(getattr(record, name) for name in campaign._Absorbed._fields)
+            assert campaign._absorbed(record) == absorbed
+            assert cli._failure_row(record) == tuple(getattr(record, name) for name in row_fields)
+
+
+def compact_json(record):
+    """The reference encoding of a results-file line."""
+    return json.dumps(record.to_json_dict(), separators=(",", ":"))

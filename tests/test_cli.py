@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -617,7 +616,7 @@ class TestReportCommand:
         records = run_campaign(CampaignConfig(digits=5, trials=10, master_seed=1)).records
         with_order = [r for r in records if r.error is None and r.r > 0][:3]
         src = tmp_path / "r.jsonl"
-        write_jsonl(src, [replace(r, r_digits=d) for r, d in zip(with_order, (-11, 5, 5))])
+        write_jsonl(src, [r._replace(r_digits=d) for r, d in zip(with_order, (-11, 5, 5))])
         code, out, err = run_cli(capsys, "report", "--in", str(src))
         assert code == 2
         assert out == ""
