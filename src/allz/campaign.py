@@ -44,7 +44,7 @@ from typing import (
     get_type_hints,
 )
 
-from .numtheory import _SMALL_PRIMES, _odd_factor_table, factorize, is_probable_prime
+from .numtheory import _SMALL_PRIMES, _odd_factor_table, _prime_flags, factorize, is_probable_prime
 from .period_oracle import (
     PeriodRecord,
     carmichael_exponent,
@@ -57,10 +57,6 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _RETRY_SALT = 0x5DEECE66D
 _SAMPLING_CAP = 1_000_000
-# A prime class whose primes lie below this is drawn by sieve lookup. That is
-# every class a campaign draws (at most 12 digits, so primes of at most 6);
-# the 6-digit class sieve is 0.86 MiB, and a 7-digit one would be 8.6 MiB.
-_CLASS_SIEVE_LIMIT = 10**6
 # Below this a modulus is one CPython digit, and reducing the order mod n
 # directly costs less than two reductions and an lcm. Above it, reducing
 # mod p and mod q works on one-digit operands instead of several.
@@ -508,31 +504,11 @@ def ratio(numerator: int, denominator: int) -> Fraction:
     return Fraction(numerator, denominator) if denominator else Fraction(0)
 
 
-def _class_sieve(lo: int, span: int) -> bytearray:
-    """Sieve of [lo, lo + span): entry i is 1 exactly when lo + i is prime.
-
-    A segmented sieve (Bays and Hudson, 1977) over that window alone: every
-    entry starts set, the entries below 2 are cleared, and each prime p with
-    p * p < lo + span strikes its multiples from max(p * p, the first
-    multiple >= lo). `_SMALL_PRIMES` holds every prime below 10**4, so the
-    sieve is exact for lo + span <= 10**8.
-    """
-    hi = lo + span
-    sieve = bytearray([1]) * span
-    if lo < 2:
-        sieve[: 2 - lo] = bytes(2 - lo)
-    for p in _SMALL_PRIMES:
-        if p * p >= hi:
-            break
-        start = max(p * p, -(-lo // p) * p) - lo
-        sieve[start::p] = bytes(len(range(start, span, p)))
-    return sieve
-
-
 @lru_cache(maxsize=16)
 def _prime_draw_params(digit_count: int) -> tuple[int, int, int, bytearray | None]:
-    """lo, span and rejection limit of a digit class, and its sieve if below
-    `_CLASS_SIEVE_LIMIT` (see `_class_sieve`).
+    """lo, span and rejection limit of a digit class, and its sieve, cut from
+    numtheory's prime tables by `_prime_flags`. Those reach 6 digits, every
+    class a campaign draws; a longer class has no sieve (None).
 
     Built on a class's first draw, so importing the package builds no sieve.
     The cache hands every caller the same sieve, so callers only read it: a
@@ -543,8 +519,7 @@ def _prime_draw_params(digit_count: int) -> tuple[int, int, int, bytearray | Non
         raise ValueError("digit count must be >= 1")
     lo = 10 ** (digit_count - 1)
     span = 10**digit_count - lo
-    sieve = _class_sieve(lo, span) if lo + span <= _CLASS_SIEVE_LIMIT else None
-    return lo, span, _draw_limit(span), sieve
+    return lo, span, _draw_limit(span), _prime_flags(lo, lo + span)
 
 
 def random_prime(digit_count: int, rng: RandomStream) -> int:
@@ -552,9 +527,9 @@ def random_prime(digit_count: int, rng: RandomStream) -> int:
 
     The same draws and rejections as rng.randint(lo, lo + span - 1) per
     candidate, read straight from the stream's draws. The draw budget is
-    `_SAMPLING_CAP` draws, rejected ones included. Classes below
-    `_CLASS_SIEVE_LIMIT` (every class a campaign draws) test a candidate by
-    sieve lookup; longer ones by `is_probable_prime`.
+    `_SAMPLING_CAP` draws, rejected ones included. Classes of at most 6
+    digits (every class a campaign draws) test a candidate by a lookup in
+    the class sieve; longer ones by `is_probable_prime`.
     """
     lo, span, limit, sieve = _prime_draw_params(digit_count)
     draws = islice(rng.draws, _SAMPLING_CAP)
@@ -734,9 +709,7 @@ def failure_reason(record: TrialRecord) -> str | None:
         return "precondition_error"
     if record.fallback_tried:
         return "fallback_trivial"
-    if record.failed_z:
-        return "all_divisors_trivial"
-    if record.strategy == "allz":
+    if record.failed_z or record.strategy == "allz":
         return "all_divisors_trivial"
     if not record.r_even:
         return "odd_period_unusable"

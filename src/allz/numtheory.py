@@ -110,6 +110,28 @@ def _odd_factor_table() -> bytearray:
     return table
 
 
+# Maps an odd factor table entry to 1 when it marks a prime, else to 0.
+_PRIME_ENTRY_FLAGS = bytes((1,)) + bytes(255)
+
+
+def _prime_flags(lo: int, hi: int) -> bytearray | None:
+    """A new sieve of [lo, hi): entry i is 1 exactly when lo + i is prime.
+
+    For hi <= 10**4 it is a slice of the trial-division sieve. Up to 10**6
+    the odd entries are read off the odd factor table and the even ones are
+    0, which is exact for lo >= 3. None when hi > 10**6, beyond both tables.
+    """
+    if hi <= _TRIAL_DIVISION_LIMIT:
+        return _PRIME_TABLE[lo:hi]
+    if hi > _FACTOR_TABLE_LIMIT:
+        return None
+    flags = bytearray(hi - lo)
+    odd = lo | 1
+    entries = _odd_factor_table()[odd >> 1 : (hi + 1) >> 1]
+    flags[odd - lo :: 2] = entries.translate(_PRIME_ENTRY_FLAGS)
+    return flags
+
+
 def is_probable_prime(x: int) -> bool:
     """Deterministic primality test, correct for every x below 2**64.
 

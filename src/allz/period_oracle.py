@@ -6,11 +6,14 @@ a**r = 1 (mod n), together with the complete factorization of r. The
 oracle may factor n internally (it plays the role of an idealized quantum
 subroutine); callers downstream only ever see (n, a, r).
 
-The campaign, which knows n = p*q, gets its orders prime by prime once
-n is longer than one CPython digit: `order_mod_primes` reduces the order
-mod p from the factored p - 1, the same for q, and merges the two in the
-same pass, since by the CRT the order mod p*q is their lcm.
-`lcm_of_orders` is that merge on two finished orders.
+Every order is reduced in one place, `order_mod_primes`: per modulus it
+divides the primes of a factored annihilating exponent out of that
+exponent while the power still collapses to 1, and it merges the orders
+mod pairwise coprime moduli by lcm (CRT). `multiplicative_order` hands it
+n with the caller's exponent hint, or else each prime power p**e of n with
+the factored phi(p**e). The campaign, which knows n = p*q, hands it p and
+q with the factored p - 1 and q - 1 once n is longer than one CPython
+digit. `lcm_of_orders` is the CRT merge on two finished orders.
 """
 
 from __future__ import annotations
@@ -54,28 +57,15 @@ def carmichael_exponent(p: int, q: int) -> int:
     return math.lcm(p - 1, q - 1)
 
 
-def _carmichael_of(factors: Factorization) -> int:
-    """The Carmichael function from a prime factorization."""
-    lam = 1
-    for prime, mult in factors:
-        if prime == 2:
-            block = 1 if mult == 1 else (2 if mult == 2 else 1 << (mult - 2))
-        else:
-            block = prime ** (mult - 1) * (prime - 1)
-        lam = math.lcm(lam, block)
-    return lam
-
-
 def multiplicative_order(
     a: int, n: int, exponent_hint: Factorization | None = None
 ) -> PeriodRecord:
     """Least r >= 1 with a**r = 1 (mod n), with r fully factored.
 
-    Starts from a universal exponent E (the factored `exponent_hint` when
-    provided, otherwise the Carmichael function of n computed by factoring
-    n) and divides out each prime of E while the power still collapses to
-    1. The hint lets a caller that already knows the factorization of n
-    skip refactoring it.
+    `order_mod_primes` reduces it mod n from the factored `exponent_hint`,
+    a universal exponent mod n, or without one mod each prime power p**e
+    of n from the factored phi(p**e). The hint lets a caller that already
+    knows the factorization of n skip refactoring it.
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
@@ -83,43 +73,36 @@ def multiplicative_order(
         raise ValueError(f"base must satisfy 1 <= a < n, got a={a}, n={n}")
     if math.gcd(a, n) != 1:
         raise ValueError(f"base {a} shares a factor with modulus {n}")
-    if exponent_hint is None:
-        exponent_hint = factorize(_carmichael_of(factorize(n)))
-    exponent = exponent_hint.value
-    if pow(a, exponent, n) != 1:
-        raise ValueError("exponent hint does not annihilate the base")
-    r = exponent
-    remaining: list[tuple[int, int]] = []
-    for z, mult in exponent_hint.entries:
-        while mult and pow(a, r // z, n) == 1:
-            r //= z
-            mult -= 1
-        if mult:
-            remaining.append((z, mult))
-    return PeriodRecord(order=r, factors=Factorization(tuple(remaining)))
+    if exponent_hint is not None:
+        return order_mod_primes(a, ((n, exponent_hint),))
+    return order_mod_primes(
+        a, ((p**e, factorize(p ** (e - 1) * (p - 1))) for p, e in factorize(n))
+    )
 
 
 def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> PeriodRecord:
-    """The factored order of a modulo the product of distinct primes.
+    """The factored order of a modulo the product of pairwise coprime moduli.
 
-    `parts` holds each prime p with the factored p - 1. Per prime, the
-    order of a mod p is reduced from that exponent as `multiplicative_order`
-    does, with its checks and messages. By the CRT the order mod the
-    product is the lcm of these orders, so each prime of the order keeps
-    its largest valuation over the parts. One factorization and one record
-    are built, both validated.
+    `parts` holds each modulus m with a factored exponent that annihilates
+    every unit mod m: p - 1 for a prime, phi(p**e) for a prime power, or a
+    known universal exponent of m itself. Per modulus, a mod m must be
+    nonzero and annihilated by the exponent; each prime of the exponent is
+    then divided out while the power still collapses to 1, which leaves the
+    order mod m. By the CRT the order mod the product is the lcm of these
+    orders, so each prime of the order keeps its largest valuation over the
+    parts. One factorization and one record are built, both validated.
     """
     order = 1
     valuations: dict[int, int] = {}
-    for p, hint in parts:
-        b = a % p
+    for m, hint in parts:
+        b = a % m
         if b == 0:
-            raise ValueError(f"base must satisfy 1 <= a < n, got a={b}, n={p}")
+            raise ValueError(f"base must satisfy 1 <= a < n, got a={b}, n={m}")
         r = hint.value
-        if pow(b, r, p) != 1:
+        if pow(b, r, m) != 1:
             raise ValueError("exponent hint does not annihilate the base")
         for z, mult in hint.entries:
-            while mult and pow(b, r // z, p) == 1:
+            while mult and pow(b, r // z, m) == 1:
                 r //= z
                 mult -= 1
             if mult > valuations.get(z, 0):

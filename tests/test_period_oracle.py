@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import semiprimes_below
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,23 +16,6 @@ from allz.period_oracle import (
     order_brute_force,
     order_mod_primes,
 )
-
-
-def semiprimes_below(limit):
-    sieve_limit = limit // 2
-    flags = bytearray([1]) * (sieve_limit + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, int(sieve_limit**0.5) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    primes = [i for i in range(sieve_limit + 1) if flags[i]]
-    out = []
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            if p * q >= limit:
-                break
-            out.append((p * q, p, q))
-    return sorted(out)
 
 
 class TestCarmichaelExponent:
@@ -121,9 +105,12 @@ class TestMultiplicativeOrder:
                 assert with_hint == without
 
     def test_works_on_general_composites(self):
-        # the CLI accepts any composite modulus, not just semiprimes
-        for n in (8, 16, 36, 100, 3**4, 2 * 3 * 5 * 7):
-            for a in range(2, n):
+        # the CLI accepts any composite modulus, not just semiprimes; the
+        # larger prime powers and the three-prime mix take bases on a stride
+        cases = [(n, 1) for n in (8, 16, 36, 100, 3**4, 2 * 3 * 5 * 7)]
+        cases += [(2**17, 1009), (3**9, 101), (2**5 * 3**4 * 7**2, 1009)]
+        for n, stride in cases:
+            for a in range(2, n, stride):
                 if math.gcd(a, n) == 1:
                     assert multiplicative_order(a, n).order == order_brute_force(a, n)
 

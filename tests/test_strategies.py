@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import semiprimes_below
 
 from allz.campaign import RandomStream
 from allz.numtheory import factorize
@@ -18,22 +19,6 @@ from allz.strategies import (
 
 def period_of(a, n):
     return multiplicative_order(a, n)
-
-
-def semiprimes_below(limit):
-    flags = bytearray([1]) * (limit // 2 + 1)
-    flags[0] = flags[1] = 0
-    for i in range(2, int(len(flags) ** 0.5) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    primes = [i for i in range(len(flags)) if flags[i]]
-    out = []
-    for i, p in enumerate(primes):
-        for q in primes[i + 1 :]:
-            if p * q >= limit:
-                break
-            out.append((p * q, p, q))
-    return sorted(out)
 
 
 class TestAttemptDivisor:
