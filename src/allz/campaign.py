@@ -130,24 +130,22 @@ def mix64_batch(state: int, k: int) -> tuple[int, ...]:
 
 
 def _draw_batches(state: int) -> Iterator[tuple[int, ...]]:
-    """The draws after `state` in batches of 32, 64, 128 and then 256."""
-    k = 32
+    """The draws after `state` in batches of 32."""
     while True:
-        yield mix64_batch(state, k)
-        state = (state + k * GOLDEN) & MASK64
-        k = min(2 * k, 256)
+        yield mix64_batch(state, 32)
+        state = (state + 32 * GOLDEN) & MASK64
 
 
 class RandomStream:
     """Deterministic uniform integer stream over splitmix64.
 
     Draw k is mix64(seed + k * GOLDEN). The state is a plain counter, so
-    draws are computed ahead in counter-based batches by `mix64_batch`; the
-    draw sequence is exactly that of one `mix64` call per draw. A batch is
-    computed only once the one before is used up, and the batch size
-    doubles from 32 up to 256, so after h draws handed out at most 2h + 32
-    are computed. Bounded draws are unbiased via rejection; identical
-    across platforms and Python versions, unlike the stdlib Mersenne layer.
+    draws are computed ahead in counter-based batches of 32 by `mix64_batch`;
+    the draw sequence is exactly that of one `mix64` call per draw. A batch
+    is computed only once the one before is used up, so after h draws handed
+    out at most h + 31 are computed. Bounded draws are unbiased via
+    rejection; identical across platforms and Python versions, unlike the
+    stdlib Mersenne layer.
     """
 
     __slots__ = ("draws",)
@@ -160,9 +158,12 @@ class RandomStream:
         return next(self.draws)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound)."""
+        """Uniform integer in [0, bound), for 0 < bound <= 2**64."""
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > MASK64 + 1:
+            # Every draw would be rejected: the limit is 0.
+            raise ValueError("bound must be at most 2**64")
         limit = _draw_limit(bound)
         while True:
             v = self.next_raw()
@@ -508,7 +509,9 @@ def ratio(numerator: int, denominator: int) -> Fraction:
 def _prime_draw_params(digit_count: int) -> tuple[int, int, int, bytearray | None]:
     """lo, span and rejection limit of a digit class, and its sieve, cut from
     numtheory's prime tables by `_prime_flags`. Those reach 6 digits, every
-    class a campaign draws; a longer class has no sieve (None).
+    class a campaign draws; a longer class has no sieve (None). A class of
+    20 or more digits spans more than 2**64 values, which one draw cannot
+    cover, and is refused.
 
     Built on a class's first draw, so importing the package builds no sieve.
     The cache hands every caller the same sieve, so callers only read it: a
@@ -519,48 +522,65 @@ def _prime_draw_params(digit_count: int) -> tuple[int, int, int, bytearray | Non
         raise ValueError("digit count must be >= 1")
     lo = 10 ** (digit_count - 1)
     span = 10**digit_count - lo
+    if span > MASK64 + 1:
+        raise ValueError(f"a {digit_count}-digit class spans more than 2**64 values")
     return lo, span, _draw_limit(span), _prime_flags(lo, lo + span)
 
 
-def random_prime(digit_count: int, rng: RandomStream) -> int:
-    """A uniformly drawn prime with exactly digit_count decimal digits.
+def _class_primes(digit_count: int, rng: RandomStream) -> Iterator[int]:
+    """Successive uniform primes of digit_count digits, read from rng's draws.
 
-    The same draws and rejections as rng.randint(lo, lo + span - 1) per
-    candidate, read straight from the stream's draws. The draw budget is
-    `_SAMPLING_CAP` draws, rejected ones included. Classes of at most 6
-    digits (every class a campaign draws) test a candidate by a lookup in
-    the class sieve; longer ones by `is_probable_prime`.
+    Each prime takes the same draws and rejections as
+    rng.randint(lo, lo + span - 1) per candidate, within a budget of
+    `_SAMPLING_CAP` draws of its own, rejected ones included. A suspended
+    generator has read no draw past the prime it yielded, so the stream
+    stands exactly where the caller stopped taking primes. Classes of at
+    most 6 digits (every class a campaign draws) test a candidate by a
+    lookup in the class sieve, before the rejection limit, which most
+    candidates never reach; longer ones by `is_probable_prime`.
     """
     lo, span, limit, sieve = _prime_draw_params(digit_count)
-    draws = islice(rng.draws, _SAMPLING_CAP)
-    if sieve is not None:
-        for x in draws:
-            if x < limit and sieve[r := x % span]:
-                return lo + r
-    else:
-        # Looked up as a module global on every use and never kept, so a
-        # wrapper swapped in for a traced run leaves with its restore.
-        for x in draws:
-            if x < limit and is_probable_prime(v := lo + x % span):
-                return v
+    draws = rng.draws
+    while True:
+        budget = islice(draws, _SAMPLING_CAP)
+        if sieve is not None:
+            for x in budget:
+                if sieve[r := x % span] and x < limit:
+                    break
+            else:
+                break  # the prime's budget is spent
+        else:
+            # Looked up as a module global on every use and never kept, so a
+            # wrapper swapped in for a traced run leaves with its restore.
+            for x in budget:
+                if x < limit and is_probable_prime(lo + (r := x % span)):
+                    break
+            else:
+                break
+        yield lo + r
     raise RuntimeError(f"no {digit_count}-digit prime found within the draw budget")
+
+
+def random_prime(digit_count: int, rng: RandomStream) -> int:
+    """A uniformly drawn prime with exactly digit_count decimal digits: the
+    first prime of `_class_primes`, with its draws, budget and messages."""
+    return next(_class_primes(digit_count, rng))
 
 
 def sample_semiprime(digits: int, rng: RandomStream) -> Semiprime:
     """A semiprime with exactly `digits` decimal digits.
 
-    Both primes are drawn with ceil(digits / 2) digits and the pair is
-    rejected until the factors differ and the product lands in the digit
-    class; that balanced split is what the reference failure cases at 7
-    and 8 digits exhibit.
+    Both primes are drawn with ceil(digits / 2) digits, p then q, from one
+    `_class_primes` generator, and the pair is rejected until the factors
+    differ and the product lands in the digit class, within a budget of
+    `_SAMPLING_CAP` pairs; that balanced split is what the reference
+    failure cases at 7 and 8 digits exhibit.
     """
     if digits < 2:
         raise ValueError("digits must be >= 2")
-    prime_digits = (digits + 1) // 2
+    primes = _class_primes((digits + 1) // 2, rng)
     lo, hi = 10 ** (digits - 1), 10**digits
-    for _ in range(_SAMPLING_CAP):
-        p = random_prime(prime_digits, rng)
-        q = random_prime(prime_digits, rng)
+    for p, q in islice(zip(primes, primes), _SAMPLING_CAP):
         if p != q and lo <= p * q < hi:
             return Semiprime(n=p * q, p=p, q=q)
     raise RuntimeError(f"no {digits}-digit semiprime found within the draw budget")

@@ -92,7 +92,7 @@ class TestSeedDerivation:
         rng, ref = RandomStream(seed), ScalarStream(seed)
         assert [rng.next_raw() for _ in range(1000)] == [ref.next_raw() for _ in range(1000)]
 
-    def test_batches_double_and_stay_close_to_the_draws(self, monkeypatch):
+    def test_batches_stay_within_one_batch_of_the_draws(self, monkeypatch):
         sizes = []
         batch = campaign.mix64_batch
 
@@ -104,13 +104,30 @@ class TestSeedDerivation:
         rng, ref = RandomStream(3), ScalarStream(3)
         for h in range(1, 2001):
             assert rng.next_raw() == ref.next_raw()
-            assert sum(sizes) <= 2 * h + 32, h
-        assert sizes[:4] == [32, 64, 128, 256] and set(sizes[3:]) == {256}
-        # random_prime reads the same draws and computes none ahead either.
+            assert sum(sizes) <= h + 31, h
+        # random_prime and sample_semiprime read the same draws and compute
+        # no more than one batch ahead either.
         for _ in range(50):
             assert random_prime(5, rng) == randint_loop_prime(5, ref)
+            assert sum(sizes) <= ref.drawn + 31
+        for digits in (2, 7, 12):
+            for _ in range(20):
+                sp = sample_semiprime(digits, rng)
+                assert (sp.p, sp.q) == reference_semiprime(digits, ref)
+                assert sum(sizes) <= ref.drawn + 31
+        assert set(sizes) == {32}
         assert same_next_draws(rng, ref, count=1)
-        assert sum(sizes) <= 2 * ref.drawn + 32
+
+    def test_below_rejects_bounds_above_two_to_the_64(self):
+        rng, ref = RandomStream(5), ScalarStream(5)
+        # A bound of 2**64 accepts every draw as it is.
+        assert rng.below(1 << 64) == ref.next_raw()
+        # One above it would reject every draw, so it is refused up front.
+        with pytest.raises(ValueError, match=r"at most 2\*\*64"):
+            rng.below((1 << 64) + 1)
+        with pytest.raises(ValueError, match=r"at most 2\*\*64"):
+            rng.randint(0, 1 << 64)
+        assert same_next_draws(rng, ref)
 
 
 class TestSamplers:
@@ -155,6 +172,63 @@ class TestSamplers:
         monkeypatch.setattr(campaign, "_SAMPLING_CAP", 1)
         with pytest.raises(RuntimeError, match="draw budget"):
             random_prime(4, RandomStream(seed))
+
+    def test_random_prime_rejects_classes_wider_than_a_draw(self):
+        # 19 digits span 9 * 10**18 < 2**64 values; 20 digits span more.
+        rng, ref = RandomStream(17), ScalarStream(17)
+        assert random_prime(19, rng) == randint_loop_prime(19, ref)
+        with pytest.raises(ValueError, match="20-digit class spans more than 2"):
+            random_prime(20, rng)
+        with pytest.raises(ValueError, match="20-digit class spans more than 2"):
+            sample_semiprime(40, rng)
+        assert same_next_draws(rng, ref)
+
+    @pytest.mark.parametrize("digits", range(2, 13))
+    def test_sample_semiprime_matches_reference(self, digits):
+        # Two more seeds: one just before the draw 2**64 - 1, and one whose
+        # first draw lies at or above the prime class's rejection limit with
+        # a prime residue, so that only the limit rejects it.
+        edge = ((unmix64(MASK64) - GOLDEN) & MASK64, rejected_prime_seed((digits + 1) // 2))
+        for seed in (*range(40), *edge):
+            fast, ref = RandomStream(seed), ScalarStream(seed)
+            for _ in range(3):
+                sp = sample_semiprime(digits, fast)
+                assert (sp.p, sp.q) == reference_semiprime(digits, ref)
+                assert same_next_draws(fast, ref)
+
+    def test_sample_semiprime_pair_budget(self, monkeypatch):
+        # With a budget of 3, the first 3 pairs of this seed each find both
+        # primes within 3 draws, and each lands outside the 7-digit class.
+        seed, cap = 414, 3
+        ref = ScalarStream(seed)
+        for _ in range(cap):
+            p, draws_p = counted_prime(4, ref)
+            q, draws_q = counted_prime(4, ref)
+            assert max(draws_p, draws_q) <= cap
+            assert p == q or not 10**6 <= p * q < 10**7
+        monkeypatch.setattr(campaign, "_SAMPLING_CAP", cap)
+        with pytest.raises(RuntimeError, match="no 7-digit semiprime found within the draw budget"):
+            sample_semiprime(7, RandomStream(seed))
+
+    def test_sample_semiprime_budget_is_per_prime(self, monkeypatch):
+        # Each prime has a budget of its own: the case needs more draws in
+        # all than its most expensive prime, and that prime's count is
+        # exactly the budget that still suffices.
+        seed = 0
+        ref = ScalarStream(seed)
+        expected = reference_semiprime(7, ref)
+        counts = []
+        replay = ScalarStream(seed)
+        while replay.drawn < ref.drawn:
+            counts.append(counted_prime(4, replay)[1])
+        most = max(counts)
+        assert sum(counts) > most and len(counts) // 2 <= most
+        monkeypatch.setattr(campaign, "_SAMPLING_CAP", most)
+        sp = sample_semiprime(7, RandomStream(seed))
+        assert (sp.p, sp.q) == expected
+        monkeypatch.setattr(campaign, "_SAMPLING_CAP", most - 1)
+        with pytest.raises(RuntimeError, match="no 4-digit prime found within the draw budget"):
+            sample_semiprime(7, RandomStream(seed))
 
     def test_semiprime_classes(self):
         rng = RandomStream(13)
@@ -229,6 +303,32 @@ def randint_loop_prime(digit_count, rng):
         v = rng.randint(lo, hi)
         if is_probable_prime(v):
             return v
+
+
+def counted_prime(digit_count, rng):
+    """randint_loop_prime's prime and the number of draws it read."""
+    start = rng.drawn
+    return randint_loop_prime(digit_count, rng), rng.drawn - start
+
+
+def reference_semiprime(digits, rng):
+    """sample_semiprime's reference: (p, q) pairs of randint_loop_prime
+    primes until p != q and p * q has `digits` digits."""
+    prime_digits = (digits + 1) // 2
+    while True:
+        p = randint_loop_prime(prime_digits, rng)
+        q = randint_loop_prime(prime_digits, rng)
+        if p != q and 10 ** (digits - 1) <= p * q < 10**digits:
+            return p, q
+
+
+def rejected_prime_seed(digit_count):
+    """A seed whose first draw is the smallest one at or above the class's
+    rejection limit whose residue is a prime of the class."""
+    lo, span = 10 ** (digit_count - 1), 9 * 10 ** (digit_count - 1)
+    limit = (1 << 64) - (1 << 64) % span
+    x = next(x for x in range(limit, 1 << 64) if is_probable_prime(lo + x % span))
+    return (unmix64(x) - GOLDEN) & MASK64
 
 
 def unmix64(y):
