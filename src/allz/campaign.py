@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
 import struct
 import sys
@@ -177,21 +176,26 @@ class RandomStream:
         return lo + self.below(hi - lo + 1)
 
 
-@dataclass(frozen=True)
-class Semiprime:
-    """A test modulus with its ground-truth prime factors."""
+class Semiprime(NamedTuple("Semiprime", (("n", int), ("p", int), ("q", int)))):
+    """A test modulus with its ground-truth prime factors.
 
-    n: int
-    p: int
-    q: int
+    A named tuple that checks its values however it is built: directly,
+    by `_make` or by `_replace`, which builds through `_make`.
+    """
 
-    def __post_init__(self) -> None:
-        if self.p * self.q != self.n or self.p == self.q:
+    __slots__ = ()
+
+    def __new__(cls, n: int, p: int, q: int) -> "Semiprime":
+        if p * q != n or p == q:
             raise ValueError("n must be the product of two distinct primes")
+        return tuple.__new__(cls, (n, p, q))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[int]) -> "Semiprime":
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class TrialCase:
+class TrialCase(NamedTuple):
     """One fully-specified trial input."""
 
     case_id: int
@@ -909,14 +913,7 @@ def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
             break  # tiny modulus: no unused base left to try
         tried.add(a_next)
         attempts_used += 1
-        retry_case = TrialCase(
-            case_id=case.case_id,
-            semiprime=case.semiprime,
-            a=a_next,
-            base_mode=case.base_mode,
-            seed=case.seed,
-        )
-        retry_record = run_trial(retry_case, config.strategy, config.bound, order)
+        retry_record = run_trial(case._replace(a=a_next), config.strategy, config.bound, order)
         if retry_record.status == "success":
             resolved = True
             break
@@ -941,8 +938,7 @@ def _run_block(args: tuple[CampaignConfig, int, int]) -> Block:
     return "\n".join(lines).encode(), tally.stats()
 
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(NamedTuple):
     """Records in case_id order plus their aggregate statistics."""
 
     records: list[TrialRecord]
@@ -977,6 +973,10 @@ def campaign_blocks(config: CampaignConfig) -> Iterator[Block]:
     # Built here, the odd factor table is inherited by forked workers, which
     # would otherwise each build their own (~2 ms) on every campaign.
     _odd_factor_table()
+    # Imported only here: it takes ~10 ms, which every other command and
+    # every one-process campaign would pay on import.
+    import multiprocessing
+
     with multiprocessing.Pool(processes=processes) as pool:
         yield from pool.imap(_run_block, blocks)
 

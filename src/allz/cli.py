@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import operator
 import os
 import sys
-from dataclasses import asdict
 from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
@@ -174,8 +172,8 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         "r_factors": order_factors,
         "factor": outcome.factor,
         "cofactor": n // outcome.factor if outcome.factor else None,
-        "witness": asdict(outcome.witness) if outcome.witness else None,
-        "attempts": [asdict(att) for att in outcome.attempts],
+        "witness": outcome.witness._asdict() if outcome.witness else None,
+        "attempts": [att._asdict() for att in outcome.attempts],
         "gcd_count": outcome.gcd_count,
     }
     print(json.dumps(payload))
@@ -409,6 +407,9 @@ def _write_json_report(
 
 
 def _write_failure_csv(failures: list[tuple], handle) -> None:
+    # Imported only here, so no other command pays its import.
+    import csv
+
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["digits", "n", "a", "r", "fail_factors", "fallback_tried"])
     for digits, n, a, _, r, failed_z, fallback_tried in failures:

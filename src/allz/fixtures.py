@@ -9,11 +9,10 @@ runs (it does exactly when the base is a perfect square).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ReferenceFailureCase:
+class ReferenceFailureCase(NamedTuple):
     digits: int
     n: int
     a: int

@@ -19,8 +19,7 @@ digit. `lcm_of_orders` is the CRT merge on two finished orders.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .numtheory import Factorization, factorize, is_probable_prime
 
@@ -29,18 +28,25 @@ from .numtheory import Factorization, factorize, is_probable_prime
 BRUTE_FORCE_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class PeriodRecord:
-    """The multiplicative order r together with its complete factorization."""
+class PeriodRecord(NamedTuple("PeriodRecord", (("order", int), ("factors", Factorization)))):
+    """The multiplicative order r together with its complete factorization.
 
-    order: int
-    factors: Factorization
+    A named tuple that checks its values however it is built: directly,
+    by `_make` or by `_replace`, which builds through `_make`.
+    """
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    __slots__ = ()
+
+    def __new__(cls, order: int, factors: Factorization) -> "PeriodRecord":
+        if order < 1:
             raise ValueError("order must be >= 1")
-        if self.factors.value != self.order:
+        if factors.value != order:
             raise ValueError("factorization does not reconstruct the order")
+        return tuple.__new__(cls, (order, factors))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "PeriodRecord":
+        return cls(*iterable)
 
 
 def carmichael_exponent(p: int, q: int) -> int:
@@ -90,10 +96,13 @@ def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> Peri
     then divided out while the power still collapses to 1, which leaves the
     order mod m. By the CRT the order mod the product is the lcm of these
     orders, so each prime of the order keeps its largest valuation over the
-    parts. One factorization and one record are built, both validated.
+    parts. The reduced entries of every part go into one list. While at
+    most one part has an order above 1, that list is already the order's
+    factorization, so a single part needs no merge, sort or lcm; otherwise
+    the list is merged once, at the end. One factorization and one record
+    are built, both validated.
     """
-    order = 1
-    valuations: dict[int, int] = {}
+    order, entries, merged = 1, [], False
     for m, hint in parts:
         b = a % m
         if b == 0:
@@ -105,10 +114,15 @@ def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> Peri
             while mult and pow(b, r // z, m) == 1:
                 r //= z
                 mult -= 1
-            if mult > valuations.get(z, 0):
-                valuations[z] = mult
-        order = math.lcm(order, r)
-    return PeriodRecord(order=order, factors=Factorization(tuple(sorted(valuations.items()))))
+            if mult:
+                entries.append((z, mult))
+        if order == 1:  # the lcm is r, and the entries so far are r's own
+            order = r
+        else:
+            order, merged = math.lcm(order, r), True
+    return PeriodRecord(
+        order=order, factors=Factorization(_lcm_entries(entries) if merged else tuple(entries))
+    )
 
 
 def lcm_of_orders(first: PeriodRecord, second: PeriodRecord) -> PeriodRecord:
@@ -118,14 +132,17 @@ def lcm_of_orders(first: PeriodRecord, second: PeriodRecord) -> PeriodRecord:
     this is the order of a modulo p*q. Each prime keeps its larger
     multiplicity.
     """
-    merged = dict(first.factors.entries)
-    for prime, mult in second.factors.entries:
-        if mult > merged.get(prime, 0):
-            merged[prime] = mult
     return PeriodRecord(
         order=math.lcm(first.order, second.order),
-        factors=Factorization(tuple(sorted(merged.items()))),
+        factors=Factorization(_lcm_entries(first.factors.entries + second.factors.entries)),
     )
+
+
+def _lcm_entries(entries: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """The factorization entries of the lcm of factored numbers, from all
+    their (prime, multiplicity) entries: sorted, each prime's entries come
+    in rising multiplicity, so the dict keeps its largest."""
+    return tuple(dict(sorted(entries)).items())
 
 
 def order_brute_force(a: int, n: int) -> int:

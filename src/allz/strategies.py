@@ -18,8 +18,7 @@ never materializes a large power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, NamedTuple
 
 from .numtheory import distinct_primes_bounded, perfect_square_root
 from .period_oracle import PeriodRecord
@@ -32,8 +31,7 @@ TRIVIAL_ONE: AttemptOutcome = "trivial_one"
 TRIVIAL_N: AttemptOutcome = "trivial_n"
 
 
-@dataclass(frozen=True)
-class AttemptResult:
+class AttemptResult(NamedTuple):
     """One gcd attempt: which route, which divisor, and what came out."""
 
     kind: AttemptKind
@@ -42,8 +40,7 @@ class AttemptResult:
     outcome: AttemptOutcome
 
 
-@dataclass(frozen=True)
-class FactorOutcome:
+class FactorOutcome(NamedTuple):
     """Result of running one strategy on (n, a, r): its attempt log.
 
     `attempts` logs everything tried in order; on success it ends with the

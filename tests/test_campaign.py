@@ -4,7 +4,6 @@ import json
 import math
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 from conftest import semiprimes_below
@@ -242,10 +241,21 @@ class TestSamplers:
                 assert len(str(sp.p)) == len(str(sp.q)) == (digits + 1) // 2
 
     def test_semiprime_invariant(self):
-        with pytest.raises(ValueError):
-            Semiprime(n=35, p=5, q=5)
-        with pytest.raises(ValueError):
-            Semiprime(n=36, p=5, q=7)
+        # Checked however one is built: directly, by _make or by _replace.
+        for build in (
+            lambda: Semiprime(n=35, p=5, q=5),
+            lambda: Semiprime(n=36, p=5, q=7),
+            lambda: Semiprime._make((36, 5, 7)),
+            lambda: Semiprime(15, 3, 5)._replace(q=7),
+            lambda: Semiprime(15, 3, 5)._replace(p=5),
+        ):
+            with pytest.raises(ValueError, match="two distinct primes"):
+                build()
+        sp = Semiprime._make((15, 3, 5))
+        assert type(sp) is Semiprime and sp._replace(n=21, q=7) == Semiprime(21, 3, 7)
+        # A named tuple: equal to a plain tuple of its values.
+        assert sp == (15, 3, 5) and sp._asdict() == {"n": 15, "p": 3, "q": 5}
+        assert TrialCase(0, sp, 2, "random", 9) == (0, (15, 3, 5), 2, "random", 9)
 
     def test_sample_base_random(self):
         rng = RandomStream(14)
@@ -585,7 +595,8 @@ class TestCampaign:
             def imap(self, fn, items):
                 return [fn(item) for item in items]
 
-        monkeypatch.setattr(campaign, "multiprocessing", SimpleNamespace(Pool=InProcessPool))
+        # campaign_blocks imports multiprocessing only where it starts a pool.
+        monkeypatch.setattr("multiprocessing.Pool", InProcessPool)
         monkeypatch.setattr(campaign, "_usable_cpus", lambda: 64)
         config = CampaignConfig(digits=4, trials=600, master_seed=6, workers=64)
         pooled = run_campaign(config)

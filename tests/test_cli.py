@@ -122,10 +122,12 @@ class TestInputBoundary:
 
 def test_import_builds_no_class_sieve():
     # Every CLI call pays the import; a prime class's sieve waits for its
-    # first draw, and the odd factor table for its first lookup.
+    # first draw, and the odd factor table for its first lookup. Only a
+    # pooled campaign imports multiprocessing, and only a CSV report csv.
     code = (
-        "import allz.cli; print(allz.campaign._prime_draw_params.cache_info().currsize,"
-        " allz.numtheory._odd_factor_table.cache_info().currsize)"
+        "import sys, allz.cli; print(allz.campaign._prime_draw_params.cache_info().currsize,"
+        " allz.numtheory._odd_factor_table.cache_info().currsize,"
+        " 'multiprocessing' in sys.modules, 'csv' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -134,7 +136,7 @@ def test_import_builds_no_class_sieve():
         env={**os.environ, "PYTHONPATH": SRC_DIR},
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (0, "0 0\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "0 0 False False\n"), proc.stderr
 
 
 class TestRhoExhaustion:

@@ -196,5 +196,19 @@ class TestOrderModPrimes:
 
 class TestPeriodRecord:
     def test_complete_record_checks_reconstruction(self):
-        with pytest.raises(ValueError):
-            PeriodRecord(order=6, factors=Factorization(((2, 2),)))
+        # Checked however one is built: directly, by _make or by _replace.
+        four = Factorization(((2, 2),))
+        record = PeriodRecord(order=4, factors=four)
+        for build in (
+            lambda: PeriodRecord(order=6, factors=four),
+            lambda: PeriodRecord._make((6, four)),
+            lambda: record._replace(order=6),
+            lambda: record._replace(factors=Factorization(((3, 1),))),
+        ):
+            with pytest.raises(ValueError, match="does not reconstruct"):
+                build()
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            record._replace(order=0)
+        assert type(PeriodRecord._make((4, four))) is PeriodRecord
+        # A named tuple: equal to a plain tuple of its values.
+        assert record == (4, four) and record._fields == ("order", "factors")

@@ -27,6 +27,8 @@ class TestAttemptDivisor:
         assert att.outcome == "factor_found"
         assert att.gcd_value == 7
         assert att.divisor_z == 2
+        # A named tuple: equal to a plain tuple of its values.
+        assert att == ("divisor", 2, 7, "factor_found")
 
     def test_half_power_minus_one_is_trivial(self):
         att = attempt_divisor(21, 5, 6, 2)
