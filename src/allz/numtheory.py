@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress, count
 
@@ -56,30 +55,54 @@ _MR_WITNESS_TABLE: tuple[tuple[int, tuple[int, ...]], ...] = (
     (PRIMALITY_LIMIT, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
 
+# Sets a slot of an immutable instance from its own __init__.
+_setattr = object.__setattr__
 
-@dataclass(frozen=True)
+
 class Factorization:
     """A complete prime factorization as (prime, multiplicity) pairs.
 
     Entries are strictly ascending in the prime and every multiplicity is
     positive; the empty factorization represents 1. `value`, the integer
     the entries reconstruct, is computed once in the validating pass.
+    Immutable; iterates its entries, and two factorizations are equal (and
+    hash equal) exactly when their entries are.
     """
 
-    entries: tuple[tuple[int, int], ...]
-    value: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("entries", "value")
 
-    def __post_init__(self) -> None:
+    def __init__(self, entries: tuple[tuple[int, int], ...]) -> None:
         last = 1
         out = 1
-        for prime, mult in self.entries:
+        for prime, mult in entries:
             if prime <= last:
                 raise ValueError("factor entries must be strictly ascending primes")
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
             last = prime
             out *= prime**mult
-        object.__setattr__(self, "value", out)
+        _setattr(self, "entries", entries)
+        _setattr(self, "value", out)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Factorization is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Factorization is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Factorization, (self.entries,)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Factorization:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"Factorization(entries={self.entries!r})"
 
     @property
     def distinct_primes(self) -> tuple[int, ...]:

@@ -8,7 +8,7 @@ Three variants share one attempt vocabulary:
   fallback (a reconstruction of the 2023 improved variant from its
   one-line description; treat its label accordingly in reports).
 * `all_z` tries every distinct prime divisor z of r (optionally only
-  those below a trial-division bound) and then the square fallback.
+  those up to a bound) and then the square fallback.
 
 Every gcd of the form gcd(a**k - 1, n) is evaluated as
 gcd((a**k mod n) + n - 1 mod n, n), which is equal by gcd periodicity and
@@ -20,7 +20,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, Literal, NamedTuple
 
-from .numtheory import distinct_primes_bounded, perfect_square_root
+from .numtheory import (
+    perfect_square_root,
+    # Unused here, but kept for perfbench's tracer: perfbench/child.py patches it on allz.strategies.
+    distinct_primes_bounded,
+)
 from .period_oracle import PeriodRecord
 
 AttemptKind = Literal["gcd_shortcut", "divisor", "fallback"]
@@ -40,62 +44,71 @@ class AttemptResult(NamedTuple):
     outcome: AttemptOutcome
 
 
-class FactorOutcome(NamedTuple):
-    """Result of running one strategy on (n, a, r): its attempt log.
+class FactorOutcome(
+    NamedTuple(
+        "FactorOutcome",
+        (
+            ("attempts", tuple[AttemptResult, ...]),
+            ("factor", int | None),
+            ("succeeded_z", int | str | None),
+            ("failed_z", tuple[int, ...]),
+            ("fallback_tried", bool),
+            ("gcd_count", int),
+        ),
+    )
+):
+    """Result of running one strategy on (n, a, r): its attempt log, summarised.
 
     `attempts` logs everything tried in order; on success it ends with the
-    witnessing attempt, on failure every entry is trivial. Everything else
-    is read off the log.
+    witnessing attempt, on failure every entry is trivial. The other values
+    are read off the log in one pass whenever an outcome is built, from the
+    log alone, so none can disagree with it: `FactorOutcome(attempts)`,
+    `_make` and `_replace` all derive them again, and ignore any given.
+
+    * `factor`: the witness's gcd; None on failure.
+    * `succeeded_z`: the witnessing divisor z, "fallback" or "shortcut";
+      None on failure.
+    * `failed_z`: divisors z whose attempts were trivial, once each, in
+      attempt order.
+    * `fallback_tried`: whether the square fallback was attempted.
+    * `gcd_count`: every gcd evaluated. The gcd(a, n) probe always runs
+      but is logged only when it found a factor.
     """
 
-    attempts: tuple[AttemptResult, ...]
+    __slots__ = ()
+
+    def __new__(cls, attempts: tuple[AttemptResult, ...]) -> "FactorOutcome":
+        failed: dict[int, None] = {}
+        fallback_tried = False
+        gcd_count = 1
+        for kind, z, g, outcome in attempts:
+            if kind != "gcd_shortcut":
+                gcd_count += 1
+                if kind == "fallback":
+                    fallback_tried = True
+                elif kind == "divisor" and outcome != FACTOR_FOUND:
+                    failed[z] = None
+        factor = succeeded_z = None
+        if attempts and outcome == FACTOR_FOUND:  # the loop's last attempt is the witness
+            factor = g
+            succeeded_z = z if kind == "divisor" else "fallback" if kind == "fallback" else "shortcut"
+        return tuple.__new__(
+            cls, (attempts, factor, succeeded_z, tuple(failed), fallback_tried, gcd_count)
+        )
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> "FactorOutcome":
+        attempts, *_ = iterable
+        return cls(attempts)
 
     @property
     def witness(self) -> AttemptResult | None:
         """The last attempt when it found a factor; None on failure."""
-        if self.attempts and self.attempts[-1].outcome == FACTOR_FOUND:
-            return self.attempts[-1]
-        return None
+        return None if self.factor is None else self.attempts[-1]
 
     @property
     def status(self) -> Literal["success", "failure"]:
-        return "failure" if self.witness is None else "success"
-
-    @property
-    def factor(self) -> int | None:
-        witness = self.witness
-        return None if witness is None else witness.gcd_value
-
-    @property
-    def gcd_count(self) -> int:
-        """Every gcd evaluated. The gcd(a, n) probe always runs but is
-        logged only when it found a factor."""
-        return 1 + sum(att.kind != "gcd_shortcut" for att in self.attempts)
-
-    @property
-    def succeeded_z(self) -> int | str | None:
-        """The witnessing divisor z, "fallback" or "shortcut"; None on failure."""
-        witness = self.witness
-        if witness is None:
-            return None
-        if witness.kind == "divisor":
-            return witness.divisor_z
-        return "fallback" if witness.kind == "fallback" else "shortcut"
-
-    @property
-    def failed_z(self) -> tuple[int, ...]:
-        """Divisors z whose attempts were trivial, once each, in attempt order."""
-        return tuple(
-            dict.fromkeys(
-                att.divisor_z
-                for att in self.attempts
-                if att.kind == "divisor" and att.outcome != FACTOR_FOUND
-            )
-        )
-
-    @property
-    def fallback_tried(self) -> bool:
-        return any(att.kind == "fallback" for att in self.attempts)
+        return "failure" if self.factor is None else "success"
 
 
 def _classify(kind: AttemptKind, z: int | None, g: int, n: int) -> AttemptResult:
@@ -171,8 +184,9 @@ def all_z(
     """Generalized divisor decomposition of the order.
 
     After the gcd(a, n) shortcut, walks the distinct prime divisors z of r
-    in ascending order (only those found by trial division up to `bound`
-    when a bound is given), returning on the first non-trivial
+    in ascending order (only those up to `bound` when a bound is given,
+    which is what trial division up to the bound would find, read off the
+    period's factorization), returning on the first non-trivial
     gcd(a**(r/z) - 1, n). If every divisor is trivial and a is a perfect
     square b*b, tries gcd(b**r - 1, n) last. Failure is a value, never an
     exception.
@@ -180,9 +194,13 @@ def all_z(
     shortcut, period = _shortcut_or_period(n, a, period)
     if shortcut is not None:
         return shortcut
-    r = period.order
-    primes = period.factors.distinct_primes if bound is None else distinct_primes_bounded(r, bound)
-    return _divisors_then_square(n, a, r, primes)
+    if bound is None:
+        primes = period.factors.distinct_primes
+    elif bound < 2:
+        raise ValueError(f"bound must be >= 2, got {bound}")
+    else:
+        primes = [z for z, _ in period.factors.entries if z <= bound]
+    return _divisors_then_square(n, a, period.order, primes)
 
 
 def traditional_shor(n: int, a: int, period: PeriodRecord | None) -> FactorOutcome:

@@ -1,7 +1,9 @@
 """Unit and property tests for the integer arithmetic primitives."""
 
+import copy
 import functools
 import math
+import pickle
 import random
 
 import pytest
@@ -143,6 +145,52 @@ class TestFactorize:
             Factorization(((2, 0),))
 
 
+class TestFactorization:
+    def test_is_immutable(self):
+        f = Factorization(((2, 1), (3, 2)))
+        for name in ("entries", "value", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, ((5, 1),))
+            with pytest.raises(AttributeError):
+                delattr(f, name)
+        assert f.entries == ((2, 1), (3, 2)) and f.value == 18
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match="^factor entries must be strictly ascending primes$"):
+            Factorization(((3, 1), (2, 1)))
+        with pytest.raises(ValueError, match="^factor entries must be strictly ascending primes$"):
+            Factorization(((2, 1), (2, 1)))
+        with pytest.raises(ValueError, match="^multiplicities must be positive$"):
+            Factorization(((2, 0),))
+
+    def test_iterates_its_entries(self):
+        entries = ((2, 3), (5, 1), (10007, 2))
+        f = Factorization(entries)
+        assert tuple(f) == entries and dict(f) == {2: 3, 5: 1, 10007: 2}
+        assert f.distinct_primes == (2, 5, 10007)
+        assert tuple(Factorization(())) == () and Factorization(()).distinct_primes == ()
+
+    def test_equality_and_hash_follow_the_entries(self):
+        a = Factorization(((2, 2), (3, 1)))
+        b = Factorization(tuple([(2, 2), (3, 1)]))
+        c = Factorization(((2, 1), (3, 1)))
+        assert a == b and hash(a) == hash(b) and not a != b
+        assert a != c and len({a, b, c}) == 2
+        assert a != ((2, 2), (3, 1)) and a != 12
+        assert factorize(12) == a and {factorize(12): 1}[a] == 1
+
+    @pytest.mark.parametrize("x", [1, 2, 12, 9973, 10**4, 2 * 3**5 * 10007, (1 << 61) - 1])
+    def test_value_reconstructs_the_integer(self, x):
+        f = factorize(x)
+        assert f.value == x == math.prod(p**e for p, e in f)
+        assert Factorization(f.entries).value == x
+
+    def test_pickles_and_copies(self):
+        f = factorize(2**5 * 10007)
+        for clone in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+            assert clone == f and clone.value == f.value and type(clone) is Factorization
+
+
 class TestDistinctPrimesBounded:
     def test_examples(self):
         assert distinct_primes_bounded(108, 1000) == [2, 3]
@@ -198,6 +246,12 @@ class TestDistinctPrimesBounded:
     @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=2, max_value=10**9))
     def test_matches_plain_trial_division(self, x, bound):
         assert distinct_primes_bounded(x, bound) == plain_trial_division(x, bound)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=10**12), st.integers(min_value=2, max_value=10**12))
+    def test_equals_bounded_filter_of_factorization(self, r, bound):
+        # all_z reads a bounded walk's divisors off the order's factorization.
+        assert [z for z, _ in factorize(r) if z <= bound] == distinct_primes_bounded(r, bound)
 
 
 @functools.cache

@@ -5,10 +5,12 @@ import math
 import pytest
 from conftest import semiprimes_below
 
-from allz.campaign import RandomStream
+from allz.campaign import STRATEGIES, RandomStream, run_strategy
 from allz.numtheory import factorize
 from allz.period_oracle import multiplicative_order
 from allz.strategies import (
+    AttemptResult,
+    FactorOutcome,
     all_z,
     attempt_divisor,
     dong2023,
@@ -115,6 +117,15 @@ class TestAllZ:
             period = period_of(a, n)
             largest = period.factors.distinct_primes[-1] if period.factors.distinct_primes else 2
             assert all_z(n, a, period, bound=largest) == all_z(n, a, period)
+
+    def test_bound_below_two_raises_after_the_shortcut(self):
+        with pytest.raises(ValueError, match=r"^bound must be >= 2, got 1$"):
+            all_z(21, 2, period_of(2, 21), bound=1)
+        with pytest.raises(ValueError, match=r"^bound must be >= 2, got -5$"):
+            all_z(1406371, 36, period_of(36, 1406371), bound=-5)
+        # A non-unit base is factored by the gcd(a, n) probe before the bound is read.
+        assert all_z(15, 5, None, bound=1) == all_z(15, 5, None)
+        assert all_z(21, 14, period_of(2, 21), bound=1).succeeded_z == "shortcut"
 
     def test_bound_monotone_in_status(self):
         rng = RandomStream(0xCAFE)
@@ -278,3 +289,74 @@ class TestStrategyProperties:
             all_z(21, 21, period)
         with pytest.raises(ValueError):
             traditional_shor(3, 2, period)
+
+
+def reference_summary(attempts):
+    """What FactorOutcome's properties read off the log when each was a walk of it."""
+    witness = attempts[-1] if attempts and attempts[-1].outcome == "factor_found" else None
+    if witness is None:
+        succeeded_z = None
+    elif witness.kind == "divisor":
+        succeeded_z = witness.divisor_z
+    else:
+        succeeded_z = "fallback" if witness.kind == "fallback" else "shortcut"
+    return {
+        "witness": witness,
+        "status": "failure" if witness is None else "success",
+        "factor": None if witness is None else witness.gcd_value,
+        "gcd_count": 1 + sum(att.kind != "gcd_shortcut" for att in attempts),
+        "succeeded_z": succeeded_z,
+        "failed_z": tuple(
+            dict.fromkeys(
+                att.divisor_z
+                for att in attempts
+                if att.kind == "divisor" and att.outcome != "factor_found"
+            )
+        ),
+        "fallback_tried": any(att.kind == "fallback" for att in attempts),
+    }
+
+
+def summary_of(out):
+    return {name: getattr(out, name) for name in reference_summary(())}
+
+
+class TestOutcomeSummary:
+    def test_matches_the_log_over_every_small_instance(self):
+        seen = set()
+        for n, p, q in semiprimes_below(500):
+            if p == 2:
+                continue
+            for a in range(2, n):
+                period = period_of(a, n) if math.gcd(a, n) == 1 else None
+                for strategy in STRATEGIES:
+                    for bound in (None, 2, 3):
+                        out = run_strategy(strategy, n, a, period, bound)
+                        assert summary_of(out) == reference_summary(out.attempts)
+                        seen.add(tuple(att.kind for att in out.attempts))
+        # Every shape of log the strategies write is among them.
+        assert {(), ("gcd_shortcut",), ("divisor",), ("divisor", "divisor")} <= seen
+        assert {("fallback",), ("divisor", "fallback")} <= seen
+
+    def test_every_way_of_building_recomputes(self):
+        success = all_z(21, 2, period_of(2, 21)).attempts
+        failure = all_z(1406371, 36, period_of(36, 1406371)).attempts
+        repeated = (
+            AttemptResult("divisor", 3, 1, "trivial_one"),
+            AttemptResult("divisor", 3, 21, "trivial_n"),
+            AttemptResult("divisor", 2, 1, "trivial_one"),
+            AttemptResult("fallback", None, 7, "factor_found"),
+        )
+        for log in ((), success, failure, repeated):
+            built = (
+                FactorOutcome(log),
+                FactorOutcome._make((log,)),
+                FactorOutcome._make(FactorOutcome(success)._replace(attempts=log)),
+                FactorOutcome(failure)._replace(attempts=log),
+                # Summary values given alongside a log are derived from it again.
+                FactorOutcome(log)._replace(factor=99, gcd_count=0, failed_z=(5,)),
+            )
+            for out in built:
+                assert out.attempts == log and summary_of(out) == reference_summary(log)
+        assert FactorOutcome(repeated).failed_z == (3, 2)
+        assert FactorOutcome(repeated).succeeded_z == "fallback"
