@@ -24,13 +24,12 @@ import os
 import struct
 import sys
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field, fields
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import contains, itemgetter
 from typing import (
+    TYPE_CHECKING,
     Any,
     BinaryIO,
     Callable,
@@ -51,6 +50,9 @@ from .period_oracle import (
     order_mod_primes,
 )
 from .strategies import FactorOutcome, all_z, dong2023, traditional_shor
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -454,8 +456,9 @@ def decode_chunk(chunk: bytes) -> list[TrialRecord]:
     return records
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(NamedTuple):
+    """One campaign's settings; `_replace` makes a changed copy."""
+
     digits: int
     trials: int
     base_mode: BaseMode = "random"
@@ -506,6 +509,9 @@ def _dependent_fields(n: int, r: int, z: int | str | None) -> tuple[int, str, in
 
 def ratio(numerator: int, denominator: int) -> Fraction:
     """numerator / denominator exactly; the empty ratio 0/0 is 0."""
+    # Imported on first use: `fractions` loads `decimal`, which no command needs.
+    from fractions import Fraction
+
     return Fraction(numerator, denominator) if denominator else Fraction(0)
 
 
@@ -750,25 +756,80 @@ def _credited_bound_classes(succeeded_z: int | str | None) -> tuple[str, ...]:
     return BOUND_CLASSES[min(_digit_count(succeeded_z), len(BOUND_CLASSES)) - 1 :]
 
 
-@dataclass
 class CampaignStats:
-    """Mergeable aggregate over trial records; every field is a sum or count."""
+    """Mergeable aggregate over trial records; every field is a sum or count.
 
-    trials: int = 0
-    successes: int = 0
-    failures: int = 0
-    failures_by_reason: dict[str, int] = field(default_factory=dict)
-    gcd_count_histogram: dict[int, int] = field(default_factory=dict)
-    attempts_per_success_histogram: dict[int, int] = field(default_factory=dict)
-    r_count: int = 0
-    r_digits_sum: int = 0
-    r_distinct_primes_sum: int = 0
-    even_r_count: int = 0
-    half_power_minus_one_count: int = 0
-    cumulative_success_by_bound: dict[str, int] = field(default_factory=dict)
-    fallback_success_count: int = 0
-    #: Records per (digits, strategy, status).
-    outcomes_by_digits_strategy: dict[tuple[int, str, str], int] = field(default_factory=dict)
+    A slotted class, so that importing the package loads no `dataclasses`.
+    Each map not passed in starts as a new empty dict.
+    """
+
+    __slots__ = (
+        "trials",
+        "successes",
+        "failures",
+        "failures_by_reason",
+        "gcd_count_histogram",
+        "attempts_per_success_histogram",
+        "r_count",
+        "r_digits_sum",
+        "r_distinct_primes_sum",
+        "even_r_count",
+        "half_power_minus_one_count",
+        "cumulative_success_by_bound",
+        "fallback_success_count",
+        "outcomes_by_digits_strategy",  # records per (digits, strategy, status)
+    )
+
+    def __init__(
+        self,
+        trials: int = 0,
+        successes: int = 0,
+        failures: int = 0,
+        failures_by_reason: dict[str, int] | None = None,
+        gcd_count_histogram: dict[int, int] | None = None,
+        attempts_per_success_histogram: dict[int, int] | None = None,
+        r_count: int = 0,
+        r_digits_sum: int = 0,
+        r_distinct_primes_sum: int = 0,
+        even_r_count: int = 0,
+        half_power_minus_one_count: int = 0,
+        cumulative_success_by_bound: dict[str, int] | None = None,
+        fallback_success_count: int = 0,
+        outcomes_by_digits_strategy: dict[tuple[int, str, str], int] | None = None,
+    ) -> None:
+        self.trials = trials
+        self.successes = successes
+        self.failures = failures
+        self.failures_by_reason = {} if failures_by_reason is None else failures_by_reason
+        self.gcd_count_histogram = {} if gcd_count_histogram is None else gcd_count_histogram
+        self.attempts_per_success_histogram = (
+            {} if attempts_per_success_histogram is None else attempts_per_success_histogram
+        )
+        self.r_count = r_count
+        self.r_digits_sum = r_digits_sum
+        self.r_distinct_primes_sum = r_distinct_primes_sum
+        self.even_r_count = even_r_count
+        self.half_power_minus_one_count = half_power_minus_one_count
+        self.cumulative_success_by_bound = (
+            {} if cumulative_success_by_bound is None else cumulative_success_by_bound
+        )
+        self.fallback_success_count = fallback_success_count
+        self.outcomes_by_digits_strategy = (
+            {} if outcomes_by_digits_strategy is None else outcomes_by_digits_strategy
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({values})"
+
+    @property
+    def gcd_count_sum(self) -> int:
+        return sum(k * v for k, v in self.gcd_count_histogram.items())
 
     @property
     def success_rate(self) -> Fraction:
@@ -776,7 +837,7 @@ class CampaignStats:
 
     @property
     def mean_gcd_count(self) -> Fraction:
-        return ratio(sum(k * v for k, v in self.gcd_count_histogram.items()), self.trials)
+        return ratio(self.gcd_count_sum, self.trials)
 
     @property
     def mean_r_digits(self) -> Fraction:
@@ -868,9 +929,9 @@ def _merge_counts(a: dict, b: dict) -> dict:
 def merge_stats(s1: CampaignStats, s2: CampaignStats) -> CampaignStats:
     """Field-wise sum; associative and commutative with CampaignStats() as identity."""
     merged = {}
-    for f in fields(CampaignStats):
-        x, y = getattr(s1, f.name), getattr(s2, f.name)
-        merged[f.name] = _merge_counts(x, y) if isinstance(x, dict) else x + y
+    for name in CampaignStats.__slots__:
+        x, y = getattr(s1, name), getattr(s2, name)
+        merged[name] = _merge_counts(x, y) if isinstance(x, dict) else x + y
     return CampaignStats(**merged)
 
 
@@ -1015,6 +1076,8 @@ def cochran_sample_size(p_expected, margin, z_alpha) -> int:
 
 
 def _as_fraction(x) -> Fraction:
+    from fractions import Fraction
+
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)

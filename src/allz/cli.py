@@ -18,7 +18,6 @@ import math
 import operator
 import os
 import sys
-from fractions import Fraction
 from typing import Any, Iterable, Sequence
 
 from .campaign import (
@@ -35,7 +34,6 @@ from .campaign import (
     case_seed,
     decode_chunk,
     merge_stats,
-    ratio,
     read_chunks,
     run_strategy,
     sample_base,
@@ -63,16 +61,24 @@ _BOUND_CLASS_LABELS = {
 }
 
 
-def _fixed6(value: Fraction) -> str:
-    """Exact 6-decimal fixed-point rendering, the magnitude rounded half up."""
-    sign = "-" if value < 0 else ""
-    num, den = abs(value.numerator), value.denominator
-    scaled = (num * 2_000_000 + den) // (2 * den)
+def _fixed6_ratio(numerator: int, denominator: int) -> str:
+    """numerator / denominator (denominator >= 0) in exact 6-decimal fixed
+    point, the magnitude rounded half up; the empty ratio 0/0 renders as 0.
+    Rendered from the integers, so no command loads `fractions`."""
+    if not denominator:
+        return "0.000000"
+    sign = "-" if numerator < 0 else ""
+    scaled = (abs(numerator) * 2_000_000 + denominator) // (2 * denominator)
     return f"{sign}{scaled // 1_000_000}.{scaled % 1_000_000:06d}"
 
 
+def _fixed6(value) -> str:
+    """A `Fraction` (or int) in exact 6-decimal fixed point."""
+    return _fixed6_ratio(value.numerator, value.denominator)
+
+
 def _rate(numerator: int, denominator: int) -> str:
-    return f"{numerator}/{denominator} ({_fixed6(ratio(numerator, denominator))})"
+    return f"{numerator}/{denominator} ({_fixed6_ratio(numerator, denominator)})"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +207,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_CONFIG_KEYS = tuple(CampaignConfig.__dataclass_fields__)
+_CONFIG_KEYS = CampaignConfig._fields
 
 
 def _load_campaign_config(args: argparse.Namespace) -> CampaignConfig:
@@ -236,9 +242,12 @@ def _stats_summary_lines(stats: CampaignStats, header: str) -> list[str]:
     if stats.failures_by_reason:
         parts = [f"{k}={v}" for k, v in sorted(stats.failures_by_reason.items())]
         lines.append(f"  failures by reason: {' '.join(parts)}")
-    lines.append(f"  mean gcd count: {_fixed6(stats.mean_gcd_count)}")
-    lines.append(f"  mean r digits: {_fixed6(stats.mean_r_digits)}")
-    lines.append(f"  mean distinct primes of r: {_fixed6(stats.mean_r_distinct_primes)}")
+    lines.append(f"  mean gcd count: {_fixed6_ratio(stats.gcd_count_sum, stats.trials)}")
+    lines.append(f"  mean r digits: {_fixed6_ratio(stats.r_digits_sum, stats.r_count)}")
+    lines.append(
+        "  mean distinct primes of r: "
+        f"{_fixed6_ratio(stats.r_distinct_primes_sum, stats.r_count)}"
+    )
     lines.append(f"  fallback successes: {stats.fallback_success_count}")
     lines.append("  cumulative success by divisor bound class:")
     for cls_name in BOUND_CLASSES:
@@ -345,7 +354,7 @@ def _success_by_digits(stats: CampaignStats) -> dict[str, dict[str, dict[str, An
         table.setdefault(str(digits), {})[strategy] = {
             "trials": trials,
             "successes": successes,
-            "rate": _fixed6(Fraction(successes, trials)),
+            "rate": _fixed6_ratio(successes, trials),
         }
     return table
 
@@ -369,7 +378,7 @@ def _write_json_report(
             "trials": stats.trials,
             "successes": stats.successes,
             "failures": stats.failures,
-            "success_rate": _fixed6(stats.success_rate),
+            "success_rate": _fixed6_ratio(stats.successes, stats.trials),
         },
         "success_by_digits": table,
         "cumulative_success_by_bound": {
@@ -377,12 +386,12 @@ def _write_json_report(
             for cls_name in BOUND_CLASSES
         },
         "r_structure": {
-            "mean_r_digits": _fixed6(stats.mean_r_digits),
-            "mean_r_distinct_primes": _fixed6(stats.mean_r_distinct_primes),
+            "mean_r_digits": _fixed6_ratio(stats.r_digits_sum, stats.r_count),
+            "mean_r_distinct_primes": _fixed6_ratio(stats.r_distinct_primes_sum, stats.r_count),
             "even_r_count": even,
             "half_power_minus_one_count": stats.half_power_minus_one_count,
-            "half_power_minus_one_given_even_r": _fixed6(
-                ratio(stats.half_power_minus_one_count, even)
+            "half_power_minus_one_given_even_r": _fixed6_ratio(
+                stats.half_power_minus_one_count, even
             ),
         },
         "failures_by_reason": dict(sorted(stats.failures_by_reason.items())),

@@ -10,7 +10,6 @@ import math
 import multiprocessing
 import time
 from array import array
-from dataclasses import replace
 
 import pytest
 
@@ -400,7 +399,7 @@ def test_criterion_8d_campaign_determinism(check):
     config = CampaignConfig(digits=5, trials=600, master_seed=31337, workers=1)
     first = run_campaign(config)
     second = run_campaign(config)
-    pooled = run_campaign(replace(config, workers=4))
+    pooled = run_campaign(config._replace(workers=4))
     jsonl = lambda result: "\n".join(record_json_line(r) for r in result.records)
     identical_reruns = jsonl(first) == jsonl(second)
     identical_workers = jsonl(first) == jsonl(pooled)

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -545,7 +545,7 @@ class TestCampaign:
     def test_worker_count_does_not_change_results(self):
         base = CampaignConfig(digits=4, trials=300, master_seed=11)
         lone = run_campaign(base)
-        pooled = run_campaign(replace(base, workers=4))
+        pooled = run_campaign(base._replace(workers=4))
         assert lone.records == pooled.records
         assert lone.stats == pooled.stats
 
@@ -601,7 +601,7 @@ class TestCampaign:
         config = CampaignConfig(digits=4, trials=600, master_seed=6, workers=64)
         pooled = run_campaign(config)
         assert sizes == [3]  # 600 trials are 3 blocks of at most 256
-        assert pooled.records == run_campaign(replace(config, workers=1)).records
+        assert pooled.records == run_campaign(config._replace(workers=1)).records
         # No more processes than CPUs this process may use, either.
         monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
         assert run_campaign(config).records == pooled.records
@@ -683,7 +683,7 @@ class TestCampaign:
     def test_retries_only_annotate_not_rewrite(self):
         base = CampaignConfig(digits=4, trials=150, master_seed=21, strategy="traditional")
         plain = run_campaign(base)
-        retried = run_campaign(replace(base, retry_limit=3))
+        retried = run_campaign(base._replace(retry_limit=3))
         for a, b in zip(plain.records, retried.records):
             assert a._replace(attempts_used=b.attempts_used, resolved=b.resolved) == b
         assert plain.stats.successes == retried.stats.successes
@@ -864,6 +864,62 @@ class TestStatsAlgebra:
             once = CampaignStats()
             once.absorb(record, count)
             assert once == absorbed_one_by_one([record] * count)
+
+
+class TestCampaignStatsType:
+    """`CampaignStats` is a slotted class; these pin what it kept of the dataclass."""
+
+    MAPS = (
+        "failures_by_reason",
+        "gcd_count_histogram",
+        "attempts_per_success_histogram",
+        "cumulative_success_by_bound",
+        "outcomes_by_digits_strategy",
+    )
+
+    def test_each_instance_gets_its_own_empty_maps(self):
+        first, second = CampaignStats(), CampaignStats()
+        for name in self.MAPS:
+            assert getattr(first, name) == {}
+            assert getattr(first, name) is not getattr(second, name)
+        first.gcd_count_histogram[1] = 5
+        assert second.gcd_count_histogram == {} and second == CampaignStats()
+
+    def test_a_map_passed_in_is_kept_as_given(self):
+        for name in self.MAPS:
+            given_map = {"k": 1}
+            assert getattr(CampaignStats(**{name: given_map}), name) is given_map
+
+    def test_equality(self):
+        a = CampaignStats(trials=3, successes=2, failures=1, gcd_count_histogram={1: 3})
+        b = CampaignStats(trials=3, successes=2, failures=1, gcd_count_histogram={1: 3})
+        assert a == b and not a != b
+        assert a != CampaignStats(trials=3, successes=2, failures=1)
+        assert a.__eq__(object()) is NotImplemented
+        assert a.__eq__(tuple(getattr(a, name) for name in CampaignStats.__slots__)) is NotImplemented
+        assert a != (3, 2, 1)
+
+    def test_repr_names_every_field(self):
+        text = repr(CampaignStats(trials=2, failures_by_reason={"fallback_trivial": 1}))
+        assert text.startswith("CampaignStats(trials=2, successes=0, failures=0, ")
+        assert "failures_by_reason={'fallback_trivial': 1}" in text
+        assert all(f"{name}=" in text for name in CampaignStats.__slots__)
+        assert text.endswith("outcomes_by_digits_strategy={})")
+
+    def test_pickle_round_trip(self):
+        stats = compute_metrics(varied_records())
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(stats, protocol))
+            assert type(copy) is CampaignStats and copy == stats
+            assert copy.outcomes_by_digits_strategy is not stats.outcomes_by_digits_strategy
+
+    def test_unknown_keyword_raises(self):
+        with pytest.raises(TypeError):
+            CampaignStats(trials=1, bogus=2)
+
+    def test_no_attribute_outside_the_fields(self):
+        with pytest.raises(AttributeError):
+            CampaignStats().bogus = 1
 
 
 class TestCochran:

@@ -18,7 +18,7 @@ from allz.campaign import (
     record_from_json_line,
     run_campaign,
 )
-from allz.cli import _fixed6, main, record_json_line
+from allz.cli import _fixed6, _fixed6_ratio, main, record_json_line
 
 SRC_DIR = os.path.dirname(os.path.dirname(allz.__file__))
 
@@ -124,19 +124,27 @@ def test_import_builds_no_class_sieve():
     # Every CLI call pays the import; a prime class's sieve waits for its
     # first draw, and the odd factor table for its first lookup. Only a
     # pooled campaign imports multiprocessing, and only a CSV report csv.
+    # No command loads dataclasses (with inspect) or fractions (with
+    # decimal): `ratio` imports fractions on its first call. Run without
+    # `site`, so that only what the import itself loads is in sys.modules.
     code = (
         "import sys, allz.cli; print(allz.campaign._prime_draw_params.cache_info().currsize,"
         " allz.numtheory._odd_factor_table.cache_info().currsize,"
-        " 'multiprocessing' in sys.modules, 'csv' in sys.modules)"
+        " *(m in sys.modules for m in"
+        " ('multiprocessing', 'csv', 'dataclasses', 'inspect', 'fractions', 'decimal')));"
+        " from fractions import Fraction; print(allz.campaign.ratio(1, 3) == Fraction(1, 3))"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": SRC_DIR},
         timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (0, "0 0 False False\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (
+        0,
+        "0 0 False False False False False False\nTrue\n",
+    ), proc.stderr
 
 
 class TestRhoExhaustion:
@@ -241,6 +249,15 @@ class TestCampaignCommand:
         code, _, err = run_cli(capsys, "campaign", "--config", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["count", "index", "_replace"])
+    def test_tuple_attribute_config_key_exits_2(self, capsys, tmp_path, key):
+        # The config is a named tuple; its methods are no settings.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"digits": 4, "trials": 5, key: 1}))
+        code, out, err = run_cli(capsys, "campaign", "--config", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: invalid campaign configuration: unknown config keys: {[key]}\n"
+
     def test_deeply_nested_config_exits_2_with_one_line(self, capsys, tmp_path):
         nested = tmp_path / "nested.json"
         nested.write_text("[" * 200_000)
@@ -313,6 +330,33 @@ class TestCampaignCommand:
 )
 def test_fixed6(value, text):
     assert _fixed6(value) == text
+
+
+def _fixed6_of_fraction(numerator, denominator):
+    """The rendering from `Fraction`s, as the CLI made it before it rendered
+    from integer pairs: 0/0 as 0, otherwise the reduced fraction."""
+    value = Fraction(numerator, denominator) if denominator else Fraction(0)
+    sign = "-" if value < 0 else ""
+    num, den = abs(value.numerator), value.denominator
+    scaled = (num * 2_000_000 + den) // (2 * den)
+    return f"{sign}{scaled // 1_000_000}.{scaled % 1_000_000:06d}"
+
+
+def test_fixed6_ratio_matches_fraction_rendering():
+    # Unreduced pairs (2/4, 2_000_000/4_000_000), every half-way case at
+    # the sixth decimal (den 2_000_000 and its multiples), 0/0 and signs.
+    nums = [*range(-41, 42), 999_999, 1_000_001, 2_000_000, 3_999_999, 10**12 + 7]
+    dens = [
+        *range(61), 64, 96, 999, 1000, 1001, 2_000_000, 4_000_000, 6_000_000,
+        999_999, 10**12,
+    ]
+    for num in nums:
+        for den in dens:
+            assert _fixed6_ratio(num, den) == _fixed6_of_fraction(num, den), (num, den)
+    assert _fixed6_ratio(0, 0) == _fixed6_ratio(5, 0) == "0.000000"
+    assert _fixed6_ratio(2, 4) == _fixed6_ratio(1, 2) == "0.500000"
+    assert _fixed6_ratio(1, 2_000_000) == "0.000001"
+    assert _fixed6_ratio(3, 2_000_000) == "0.000002"
 
 
 @pytest.fixture(scope="module")
