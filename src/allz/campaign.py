@@ -22,7 +22,6 @@ import json
 import math
 import os
 import struct
-import sys
 from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import chain, islice
@@ -45,6 +44,7 @@ from typing import (
 from .numtheory import _SMALL_PRIMES, _odd_factor_table, _prime_flags, factorize, is_probable_prime
 from .period_oracle import (
     PeriodRecord,
+    # Unused here, but kept for perfbench's tracer: perfbench/child.py patches them on allz.campaign.
     carmichael_exponent,
     multiplicative_order,
     order_mod_primes,
@@ -54,14 +54,17 @@ from .strategies import FactorOutcome, all_z, dong2023, traditional_shor
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    from .numtheory import Factorization
+
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _RETRY_SALT = 0x5DEECE66D
 _SAMPLING_CAP = 1_000_000
-# Below this a modulus is one CPython digit, and reducing the order mod n
-# directly costs less than two reductions and an lcm. Above it, reducing
-# mod p and mod q works on one-digit operands instead of several.
-_DIRECT_ORDER_LIMIT = 1 << sys.int_info.bits_per_digit
+# Primes below this keep their order part, (p, factorize(p - 1)), once made:
+# the primes of every campaign of at most 8 digits. A larger prime's part,
+# cheap from the odd factor table, is made again on each case.
+_PART_MEMO_LIMIT = 10_000
+_PRIME_PARTS: dict[int, tuple[int, Factorization]] = {}
 
 BaseMode = Literal["random", "perfect_square"]
 StrategyName = Literal["traditional", "dong2023", "allz"]
@@ -633,24 +636,37 @@ def run_strategy(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
+def _prime_part(p: int) -> tuple[int, Factorization]:
+    """(p, factorize(p - 1)) for a prime p, the part `order_mod_primes`
+    reduces the order mod p from; a composite p raises `ValueError`.
+
+    A prime below `_PART_MEMO_LIMIT` is checked and factored once per
+    process and kept; an error is never kept.
+    """
+    part = _PRIME_PARTS.get(p)
+    if part is None:
+        if not is_probable_prime(p):
+            raise ValueError(f"{p} is not prime")
+        part = (p, factorize(p - 1))
+        if p < _PART_MEMO_LIMIT:
+            _PRIME_PARTS[p] = part
+    return part
+
+
 def order_function(sp: Semiprime) -> Callable[[int], PeriodRecord]:
     """The factored order of a unit mod sp.n, as a function of the unit.
 
-    Below `_DIRECT_ORDER_LIMIT` the order is reduced mod n from the
-    factored lcm(p - 1, q - 1) by `multiplicative_order`; above it, mod p
-    and mod q from the factored p - 1 and q - 1 and merged by lcm (CRT) in
-    one pass of `order_mod_primes`. Both give the same order. Either way
-    `carmichael_exponent` first checks that p and q are distinct primes,
-    without which the order mod p*q would not be the lcm of the orders mod
-    p and mod q. The factoring is done here, once per modulus; the
+    The order is reduced mod p and mod q from the factored p - 1 and q - 1
+    and merged by lcm (CRT) in one pass of `order_mod_primes`, for every
+    modulus. p and q are first checked to be distinct primes, without
+    which the order mod p*q would not be the lcm of the orders mod p and
+    mod q; each prime's check and factoring come from `_prime_part`. The
     returned function looks the oracle up by name on each call.
     """
-    n, p, q = sp.n, sp.p, sp.q
-    lam = carmichael_exponent(p, q)
-    if n < _DIRECT_ORDER_LIMIT:
-        hint = factorize(lam)
-        return lambda a: multiplicative_order(a, n, exponent_hint=hint)
-    parts = ((p, factorize(p - 1)), (q, factorize(q - 1)))
+    p, q = sp.p, sp.q
+    if p == q:
+        raise ValueError("primes must be distinct")
+    parts = (_prime_part(p), _prime_part(q))
     return lambda a: order_mod_primes(a, parts)
 
 
@@ -676,8 +692,9 @@ def run_trial(
     `order_function` when the caller already has it; otherwise it is made
     here when needed. A precondition violation comes back as a poisoned
     record: a failure with no order, no attempts and the error message.
-    No order is found for a base outside [2, n - 1] or for a non-unit, so
-    the strategy's own check names the fault, whichever order path n takes.
+    No order is found for a base outside [2, n - 1] or for a non-unit,
+    which the order mod p and mod q would take mod each prime, so the
+    strategy's own check names the fault.
     """
     sp = case.semiprime
     n, a = sp.n, case.a

@@ -12,8 +12,8 @@ exponent while the power still collapses to 1, and it merges the orders
 mod pairwise coprime moduli by lcm (CRT). `multiplicative_order` hands it
 n with the caller's exponent hint, or else each prime power p**e of n with
 the factored phi(p**e). The campaign, which knows n = p*q, hands it p and
-q with the factored p - 1 and q - 1 once n is longer than one CPython
-digit. `lcm_of_orders` is the CRT merge on two finished orders.
+q with the factored p - 1 and q - 1 for every modulus. `lcm_of_orders` is
+the CRT merge on two finished orders.
 """
 
 from __future__ import annotations

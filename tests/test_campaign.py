@@ -408,12 +408,11 @@ class TestRunTrial:
         assert failure_reason(record) == "precondition_error"
 
     def test_composite_prime_poisons_the_record(self):
-        # n = 9 * 120000007 is past one CPython digit, so run_trial would
-        # merge orders mod p and mod q. Modulo p = 3 * 120000007 and q = 3
-        # the base a = p + 1 is 1, so the lcm would claim r = 1; the true
-        # order of a mod n is 3. The prime check stops it.
+        # run_trial merges orders mod p and mod q. Modulo p = 3 * 120000007
+        # and q = 3 the base a = p + 1 is 1, so the lcm would claim r = 1;
+        # the true order of a mod n = 9 * 120000007 is 3. The prime check
+        # stops it.
         p, q = 3 * 120_000_007, 3
-        assert p * q >= campaign._DIRECT_ORDER_LIMIT
         record = run_trial(make_case(p * q, p, q, p + 1), "allz")
         assert record.error == f"{p} is not prime"
         assert record.r == 0
@@ -421,10 +420,9 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("strategy", ["allz", "traditional", "dong2023"])
     def test_base_beyond_n_poisons_alike_on_both_order_paths(self, strategy):
-        # The small modulus takes the direct order path, the large one the
-        # CRT path; neither finds an order for a base >= n.
+        # Neither a 7-digit nor a 12-digit modulus finds an order for the
+        # base n + 2, though it is a unit mod p and mod q.
         small, large = 1009 * 1013, 999_983 * 1_000_003
-        assert small < campaign._DIRECT_ORDER_LIMIT <= large
         for n, p, q in [(small, 1009, 1013), (large, 999_983, 1_000_003)]:
             record = run_trial(make_case(n, p, q, n + 2), strategy)
             assert (record.status, record.r, record.attempts_used) == ("failure", 0, 1)
@@ -442,11 +440,11 @@ class TestRunTrial:
 class TestOrderByPrimes:
     """The campaign's order, found mod p and mod q, equals the direct one."""
 
-    @pytest.mark.parametrize("digits", [10, 11, 12])
+    @pytest.mark.parametrize("digits", range(2, 13))
     @pytest.mark.parametrize("base_mode", ["random", "perfect_square"])
     def test_sampled_large_cases(self, digits, base_mode):
         config = CampaignConfig(digits=digits, trials=50, base_mode=base_mode, master_seed=digits)
-        by_primes = even = 0
+        even = twos = 0
         for case_id in range(config.trials):
             case = campaign._build_case(config, case_id)
             sp, a = case.semiprime, case.a
@@ -462,16 +460,16 @@ class TestOrderByPrimes:
             assert order_mod_primes(a, parts) == direct
             record = run_trial(case, "allz")
             assert (record.r, record.r_distinct_primes) == (direct.order, len(direct.factors.entries))
-            # The mod-n order path gives the same record, half-power field included.
+            # The order reduced mod n gives the same record, half-power field included.
             assert run_trial(case, "allz", order=lambda _: direct) == record
             h = record.r // 2
             assert record.half_power_is_minus_one == (
                 pow(a, h, sp.n) == sp.n - 1 if record.r_even else None
             )
-            by_primes += sp.n >= campaign._DIRECT_ORDER_LIMIT
             even += record.r_even
-        assert by_primes > config.trials // 2  # run_trial mostly took the CRT path
+            twos += 2 in (sp.p, sp.q)
         assert even >= 10  # and the half-power field was set
+        assert twos or digits > 2  # p = 2 is reduced mod 2 from the empty factorization of 1
 
     def test_half_power_by_primes_matches_mod_n_on_every_small_unit(self):
         # Every unit of every semiprime below 2000, p = 2 included, at h = r / 2
@@ -498,7 +496,7 @@ class TestOrderByPrimes:
                         one_side += not want and (pow(a, h, p) == p - 1 or pow(a, h, q) == q - 1)
         assert one_side > 1000
 
-    def test_order_is_reduced_mod_n_or_mod_p_and_q(self, monkeypatch):
+    def test_every_order_is_reduced_mod_p_and_q(self, monkeypatch):
         moduli = []
         direct_order = campaign.multiplicative_order
         order_by_primes = campaign.order_mod_primes
@@ -512,20 +510,54 @@ class TestOrderByPrimes:
             return order_by_primes(a, parts)
 
         small = make_case(1567 * 1621, 1567, 1621, 1316667)
-        p, q = 999_983, 1_000_003
-        large = make_case(p * q, p, q, 2)
-        assert small.semiprime.n < campaign._DIRECT_ORDER_LIMIT <= large.semiprime.n
+        large = make_case(999_983 * 1_000_003, 999_983, 1_000_003, 2)
         # Made before the spies go in: the order function looks the oracle
         # up when it is called, as the benchmark's tracer needs.
         large_order = campaign.order_function(large.semiprime)
         monkeypatch.setattr(campaign, "multiplicative_order", direct_spy)
         monkeypatch.setattr(campaign, "order_mod_primes", by_primes_spy)
+        for case, order in [(small, None), (large, large_order)]:
+            sp = case.semiprime
+            moduli.clear()
+            record = run_trial(case, "allz", order=order)
+            assert moduli == [sp.p, sp.q]
+            hint = factorize(carmichael_exponent(sp.p, sp.q))
+            assert record == run_trial(
+                case, "allz", order=lambda a: direct_order(a, sp.n, exponent_hint=hint)
+            )
+            assert record == run_trial(case, "allz")
         assert run_trial(small, "allz").r == 27
-        assert moduli == [small.semiprime.n]
-        moduli.clear()
-        record = run_trial(large, "allz", order=large_order)
-        assert moduli == [p, q]
-        assert record == run_trial(large, "allz")
+
+    def test_prime_parts_are_kept_below_ten_thousand(self, monkeypatch):
+        monkeypatch.setattr(campaign, "_PRIME_PARTS", {})
+        primes = [p for p in campaign._SMALL_PRIMES if p < 10**4]
+        assert len(primes) == 1229
+        for p in primes:
+            assert campaign._prime_part(p) == (p, factorize(p - 1))
+        assert list(campaign._PRIME_PARTS) == primes
+        assert all(campaign._prime_part(p) is campaign._PRIME_PARTS[p] for p in primes)
+
+    def test_prime_part_errors_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(campaign, "_PRIME_PARTS", {})
+        # Each pair raises what the prime check of carmichael_exponent
+        # raises, checked in the same order: distinct first, then p, then q.
+        pairs = [(7, 7), (9, 9), (9, 7), (7, 9), (15, 21), (3 * 120_000_007, 3)]
+        for p, q in pairs:
+            with pytest.raises(ValueError) as expected:
+                carmichael_exponent(p, q)
+            sp = tuple.__new__(Semiprime, (p * q, p, q))  # past Semiprime's own check
+            for _ in range(2):
+                with pytest.raises(ValueError) as raised:
+                    campaign.order_function(sp)
+                assert str(raised.value) == str(expected.value)
+        assert list(campaign._PRIME_PARTS) == [7]
+
+    def test_campaign_keeps_no_prime_part_above_ten_thousand(self, monkeypatch):
+        monkeypatch.setattr(campaign, "_PRIME_PARTS", {})
+        run_campaign(CampaignConfig(digits=12, trials=50, retry_limit=2))
+        assert campaign._PRIME_PARTS == {}
+        run_campaign(CampaignConfig(digits=8, trials=50))
+        assert campaign._PRIME_PARTS and max(campaign._PRIME_PARTS) < 10**4
 
 
 class TestCampaign:
@@ -678,7 +710,6 @@ class TestCampaign:
         for record, trials in zip(records, cases):
             assert trials == [record.case_id] * record.attempts_used
         assert max(r.attempts_used for r in records) > 1  # retries ran
-        assert max(r.n for r in records) >= campaign._DIRECT_ORDER_LIMIT  # by CRT
 
     def test_retries_only_annotate_not_rewrite(self):
         base = CampaignConfig(digits=4, trials=150, master_seed=21, strategy="traditional")
