@@ -38,7 +38,6 @@ from .numtheory import (
 from .period_oracle import (
     PeriodRecord,
     carmichael_exponent,
-    lcm_of_orders,
     multiplicative_order,
     order_brute_force,
     order_mod_primes,
@@ -80,7 +79,6 @@ __all__ = [
     "failure_reason",
     "fallback_square",
     "is_probable_prime",
-    "lcm_of_orders",
     "merge_stats",
     "mix64",
     "multiplicative_order",

@@ -75,15 +75,6 @@ STRATEGIES = ("traditional", "dong2023", "allz")
 #: Divisor-bound digit classes used for cumulative success curves.
 BOUND_CLASSES = ("1", "2", "3", "4", "inf")
 
-FAILURE_REASONS = (
-    "odd_period_unusable",
-    "all_divisors_trivial",
-    "half_power_minus_one",
-    "fallback_trivial",
-    "precondition_error",
-)
-
-
 def mix64(x: int) -> int:
     """splitmix64 finalizer: a documented, platform-independent 64-bit mix."""
     x &= MASK64
@@ -510,14 +501,6 @@ def _dependent_fields(n: int, r: int, z: int | str | None) -> tuple[int, str, in
     )
 
 
-def ratio(numerator: int, denominator: int) -> Fraction:
-    """numerator / denominator exactly; the empty ratio 0/0 is 0."""
-    # Imported on first use: `fractions` loads `decimal`, which no command needs.
-    from fractions import Fraction
-
-    return Fraction(numerator, denominator) if denominator else Fraction(0)
-
-
 @lru_cache(maxsize=16)
 def _prime_draw_params(digit_count: int) -> tuple[int, int, int, bytearray | None]:
     """lo, span and rejection limit of a digit class, and its sieve, cut from
@@ -777,63 +760,32 @@ class CampaignStats:
     """Mergeable aggregate over trial records; every field is a sum or count.
 
     A slotted class, so that importing the package loads no `dataclasses`.
-    Each map not passed in starts as a new empty dict.
+    `__slots__` maps each field to the type whose call gives its start
+    value, so a count not passed in starts at 0 and a map at a new {}.
     """
 
-    __slots__ = (
-        "trials",
-        "successes",
-        "failures",
-        "failures_by_reason",
-        "gcd_count_histogram",
-        "attempts_per_success_histogram",
-        "r_count",
-        "r_digits_sum",
-        "r_distinct_primes_sum",
-        "even_r_count",
-        "half_power_minus_one_count",
-        "cumulative_success_by_bound",
-        "fallback_success_count",
-        "outcomes_by_digits_strategy",  # records per (digits, strategy, status)
-    )
+    __slots__ = {
+        "trials": int,
+        "successes": int,
+        "failures": int,
+        "failures_by_reason": dict,
+        "gcd_count_histogram": dict,
+        "attempts_per_success_histogram": dict,
+        "r_count": int,
+        "r_digits_sum": int,
+        "r_distinct_primes_sum": int,
+        "even_r_count": int,
+        "half_power_minus_one_count": int,
+        "cumulative_success_by_bound": dict,
+        "fallback_success_count": int,
+        "outcomes_by_digits_strategy": dict,  # records per (digits, strategy, status)
+    }
 
-    def __init__(
-        self,
-        trials: int = 0,
-        successes: int = 0,
-        failures: int = 0,
-        failures_by_reason: dict[str, int] | None = None,
-        gcd_count_histogram: dict[int, int] | None = None,
-        attempts_per_success_histogram: dict[int, int] | None = None,
-        r_count: int = 0,
-        r_digits_sum: int = 0,
-        r_distinct_primes_sum: int = 0,
-        even_r_count: int = 0,
-        half_power_minus_one_count: int = 0,
-        cumulative_success_by_bound: dict[str, int] | None = None,
-        fallback_success_count: int = 0,
-        outcomes_by_digits_strategy: dict[tuple[int, str, str], int] | None = None,
-    ) -> None:
-        self.trials = trials
-        self.successes = successes
-        self.failures = failures
-        self.failures_by_reason = {} if failures_by_reason is None else failures_by_reason
-        self.gcd_count_histogram = {} if gcd_count_histogram is None else gcd_count_histogram
-        self.attempts_per_success_histogram = (
-            {} if attempts_per_success_histogram is None else attempts_per_success_histogram
-        )
-        self.r_count = r_count
-        self.r_digits_sum = r_digits_sum
-        self.r_distinct_primes_sum = r_distinct_primes_sum
-        self.even_r_count = even_r_count
-        self.half_power_minus_one_count = half_power_minus_one_count
-        self.cumulative_success_by_bound = (
-            {} if cumulative_success_by_bound is None else cumulative_success_by_bound
-        )
-        self.fallback_success_count = fallback_success_count
-        self.outcomes_by_digits_strategy = (
-            {} if outcomes_by_digits_strategy is None else outcomes_by_digits_strategy
-        )
+    def __init__(self, **fields: Any) -> None:
+        for name, start in self.__slots__.items():
+            setattr(self, name, fields.pop(name) if name in fields else start())
+        if fields:
+            raise TypeError(f"unknown CampaignStats fields: {sorted(fields)}")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -847,22 +799,6 @@ class CampaignStats:
     @property
     def gcd_count_sum(self) -> int:
         return sum(k * v for k, v in self.gcd_count_histogram.items())
-
-    @property
-    def success_rate(self) -> Fraction:
-        return ratio(self.successes, self.trials)
-
-    @property
-    def mean_gcd_count(self) -> Fraction:
-        return ratio(self.gcd_count_sum, self.trials)
-
-    @property
-    def mean_r_digits(self) -> Fraction:
-        return ratio(self.r_digits_sum, self.r_count)
-
-    @property
-    def mean_r_distinct_primes(self) -> Fraction:
-        return ratio(self.r_distinct_primes_sum, self.r_count)
 
     def absorb(self, record: TrialRecord, count: int = 1) -> None:
         """Fold `count` copies of one record in, or of its `_Absorbed` tuple."""

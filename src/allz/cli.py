@@ -72,11 +72,6 @@ def _fixed6_ratio(numerator: int, denominator: int) -> str:
     return f"{sign}{scaled // 1_000_000}.{scaled % 1_000_000:06d}"
 
 
-def _fixed6(value) -> str:
-    """A `Fraction` (or int) in exact 6-decimal fixed point."""
-    return _fixed6_ratio(value.numerator, value.denominator)
-
-
 def _rate(numerator: int, denominator: int) -> str:
     return f"{numerator}/{denominator} ({_fixed6_ratio(numerator, denominator)})"
 

@@ -10,10 +10,8 @@ Every order is reduced in one place, `order_mod_primes`: per modulus it
 divides the primes of a factored annihilating exponent out of that
 exponent while the power still collapses to 1, and it merges the orders
 mod pairwise coprime moduli by lcm (CRT). `multiplicative_order` hands it
-n with the caller's exponent hint, or else each prime power p**e of n with
-the factored phi(p**e). The campaign, which knows n = p*q, hands it p and
-q with the factored p - 1 and q - 1 for every modulus. `lcm_of_orders` is
-the CRT merge on two finished orders.
+each prime power p**e of n with the factored phi(p**e). The campaign,
+which knows n = p*q, hands it p and q with the factored p - 1 and q - 1.
 """
 
 from __future__ import annotations
@@ -63,15 +61,11 @@ def carmichael_exponent(p: int, q: int) -> int:
     return math.lcm(p - 1, q - 1)
 
 
-def multiplicative_order(
-    a: int, n: int, exponent_hint: Factorization | None = None
-) -> PeriodRecord:
+def multiplicative_order(a: int, n: int) -> PeriodRecord:
     """Least r >= 1 with a**r = 1 (mod n), with r fully factored.
 
-    `order_mod_primes` reduces it mod n from the factored `exponent_hint`,
-    a universal exponent mod n, or without one mod each prime power p**e
-    of n from the factored phi(p**e). The hint lets a caller that already
-    knows the factorization of n skip refactoring it.
+    `order_mod_primes` reduces it mod each prime power p**e of n from the
+    factored phi(p**e).
     """
     if n < 2:
         raise ValueError(f"modulus must be >= 2, got {n}")
@@ -79,8 +73,6 @@ def multiplicative_order(
         raise ValueError(f"base must satisfy 1 <= a < n, got a={a}, n={n}")
     if math.gcd(a, n) != 1:
         raise ValueError(f"base {a} shares a factor with modulus {n}")
-    if exponent_hint is not None:
-        return order_mod_primes(a, ((n, exponent_hint),))
     return order_mod_primes(
         a, ((p**e, factorize(p ** (e - 1) * (p - 1))) for p, e in factorize(n))
     )
@@ -122,19 +114,6 @@ def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> Peri
             order, merged = math.lcm(order, r), True
     return PeriodRecord(
         order=order, factors=Factorization(_lcm_entries(entries) if merged else tuple(entries))
-    )
-
-
-def lcm_of_orders(first: PeriodRecord, second: PeriodRecord) -> PeriodRecord:
-    """The lcm of two factored orders, fully factored.
-
-    With first and second the orders of a modulo distinct primes p and q,
-    this is the order of a modulo p*q. Each prime keeps its larger
-    multiplicity.
-    """
-    return PeriodRecord(
-        order=math.lcm(first.order, second.order),
-        factors=Factorization(_lcm_entries(first.factors.entries + second.factors.entries)),
     )
 
 

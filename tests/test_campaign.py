@@ -38,12 +38,7 @@ from allz.campaign import (
     sample_semiprime,
 )
 from allz.numtheory import factorize, is_probable_prime, perfect_square_root
-from allz.period_oracle import (
-    carmichael_exponent,
-    lcm_of_orders,
-    multiplicative_order,
-    order_mod_primes,
-)
+from allz.period_oracle import PeriodRecord, carmichael_exponent, order_mod_primes
 
 
 class TestSeedDerivation:
@@ -448,15 +443,10 @@ class TestOrderByPrimes:
         for case_id in range(config.trials):
             case = campaign._build_case(config, case_id)
             sp, a = case.semiprime, case.a
-            direct = multiplicative_order(
-                a, sp.n, exponent_hint=factorize(carmichael_exponent(sp.p, sp.q))
-            )
-            composed = lcm_of_orders(
-                multiplicative_order(a % sp.p, sp.p, exponent_hint=factorize(sp.p - 1)),
-                multiplicative_order(a % sp.q, sp.q, exponent_hint=factorize(sp.q - 1)),
-            )
-            assert composed == direct
+            direct = order_mod_primes(a, ((sp.n, factorize(carmichael_exponent(sp.p, sp.q))),))
             parts = ((sp.p, factorize(sp.p - 1)), (sp.q, factorize(sp.q - 1)))
+            r = math.lcm(*(order_mod_primes(a, (part,)).order for part in parts))
+            assert PeriodRecord(r, factorize(r)) == direct
             assert order_mod_primes(a, parts) == direct
             record = run_trial(case, "allz")
             assert (record.r, record.r_distinct_primes) == (direct.order, len(direct.factors.entries))
@@ -482,8 +472,7 @@ class TestOrderByPrimes:
                 if prime not in orders_mod:
                     hint = factorize(prime - 1)
                     orders_mod[prime] = [None] + [
-                        multiplicative_order(y, prime, exponent_hint=hint).order
-                        for y in range(1, prime)
+                        order_mod_primes(y, ((prime, hint),)).order for y in range(1, prime)
                     ]
             by_p, by_q = orders_mod[p], orders_mod[q]
             for a in range(2, n):
@@ -501,9 +490,9 @@ class TestOrderByPrimes:
         direct_order = campaign.multiplicative_order
         order_by_primes = campaign.order_mod_primes
 
-        def direct_spy(a, n, exponent_hint=None):
+        def direct_spy(a, n):
             moduli.append(n)
-            return direct_order(a, n, exponent_hint=exponent_hint)
+            return direct_order(a, n)
 
         def by_primes_spy(a, parts):
             moduli.extend(prime for prime, _ in parts)
@@ -523,7 +512,7 @@ class TestOrderByPrimes:
             assert moduli == [sp.p, sp.q]
             hint = factorize(carmichael_exponent(sp.p, sp.q))
             assert record == run_trial(
-                case, "allz", order=lambda a: direct_order(a, sp.n, exponent_hint=hint)
+                case, "allz", order=lambda a: order_by_primes(a, ((sp.n, hint),))
             )
             assert record == run_trial(case, "allz")
         assert run_trial(small, "allz").r == 27
@@ -842,13 +831,6 @@ class TestStatsAlgebra:
         assert merged.trials == 6
         assert merged.successes == 5
         assert merged.failures == 1
-        assert merged.success_rate == Fraction(5, 6)
-
-    def test_rate_properties_on_empty(self):
-        empty = CampaignStats()
-        assert empty.success_rate == 0
-        assert empty.mean_gcd_count == 0
-        assert empty.mean_r_digits == 0
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -18,7 +18,7 @@ from allz.campaign import (
     record_from_json_line,
     run_campaign,
 )
-from allz.cli import _fixed6, _fixed6_ratio, main, record_json_line
+from allz.cli import _fixed6_ratio, main, record_json_line
 
 SRC_DIR = os.path.dirname(os.path.dirname(allz.__file__))
 
@@ -125,14 +125,16 @@ def test_import_builds_no_class_sieve():
     # first draw, and the odd factor table for its first lookup. Only a
     # pooled campaign imports multiprocessing, and only a CSV report csv.
     # No command loads dataclasses (with inspect) or fractions (with
-    # decimal): `ratio` imports fractions on its first call. Run without
-    # `site`, so that only what the import itself loads is in sys.modules.
+    # decimal): `cochran_sample_size` imports fractions on its first call.
+    # Run without `site`, so that only what the import itself loads is in
+    # sys.modules.
     code = (
         "import sys, allz.cli; print(allz.campaign._prime_draw_params.cache_info().currsize,"
         " allz.numtheory._odd_factor_table.cache_info().currsize,"
         " *(m in sys.modules for m in"
         " ('multiprocessing', 'csv', 'dataclasses', 'inspect', 'fractions', 'decimal')));"
-        " from fractions import Fraction; print(allz.campaign.ratio(1, 3) == Fraction(1, 3))"
+        " print(allz.campaign.cochran_sample_size(0.5, 0.01, 1.96) == 9604"
+        " and 'fractions' in sys.modules)"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -329,7 +331,7 @@ class TestCampaignCommand:
     ],
 )
 def test_fixed6(value, text):
-    assert _fixed6(value) == text
+    assert _fixed6_ratio(value.numerator, value.denominator) == text
 
 
 def _fixed6_of_fraction(numerator, denominator):

@@ -11,7 +11,6 @@ from allz.numtheory import Factorization, factorize
 from allz.period_oracle import (
     PeriodRecord,
     carmichael_exponent,
-    lcm_of_orders,
     multiplicative_order,
     order_brute_force,
     order_mod_primes,
@@ -92,7 +91,7 @@ class TestMultiplicativeOrder:
     def test_rejects_wrong_hint(self):
         # ord_15(2) = 4, so the exponent 3 does not annihilate the base
         with pytest.raises(ValueError):
-            multiplicative_order(2, 15, exponent_hint=Factorization(((3, 1),)))
+            order_mod_primes(2, ((15, Factorization(((3, 1),))),))
 
     def test_hint_and_hintless_paths_agree(self):
         for n, p, q in semiprimes_below(3000)[::7]:
@@ -100,7 +99,7 @@ class TestMultiplicativeOrder:
             for a in (2, 3, n - 1):
                 if not 1 <= a < n or math.gcd(a, n) != 1:
                     continue
-                with_hint = multiplicative_order(a, n, exponent_hint=hint)
+                with_hint = order_mod_primes(a, ((n, hint),))
                 without = multiplicative_order(a, n)
                 assert with_hint == without
 
@@ -119,7 +118,7 @@ class TestMultiplicativeOrder:
             hint = factorize(carmichael_exponent(p, q))
             for a in range(1, n):
                 if math.gcd(a, n) == 1:
-                    record = multiplicative_order(a, n, exponent_hint=hint)
+                    record = order_mod_primes(a, ((n, hint),))
                     assert record.order == order_brute_force(a, n), (a, n)
 
     @settings(max_examples=200, deadline=None)
@@ -131,20 +130,25 @@ class TestMultiplicativeOrder:
         if math.gcd(a, n) != 1:
             return
         lam = carmichael_exponent(p, q)
-        record = multiplicative_order(a, n, exponent_hint=factorize(lam))
+        record = order_mod_primes(a, ((n, factorize(lam)),))
         assert lam % record.order == 0
         assert record.factors.value == record.order
 
 
 class TestLcmOfOrders:
+    """The order mod a product of coprime moduli is the lcm of the orders mod each."""
+
     def test_merge_keeps_larger_multiplicity(self):
-        mod_p = PeriodRecord(order=12, factors=Factorization(((2, 2), (3, 1))))
-        mod_q = PeriodRecord(order=10, factors=Factorization(((2, 1), (5, 1))))
+        # 2 has order 12 = 2**2 * 3 mod 13 and order 10 = 2 * 5 mod 11: both
+        # orders hold the prime 2, at valuations 2 and 1, and the lcm keeps 2**2.
+        mod_13, mod_11 = (13, factorize(12)), (11, factorize(10))
         merged = PeriodRecord(order=60, factors=Factorization(((2, 2), (3, 1), (5, 1))))
-        assert lcm_of_orders(mod_p, mod_q) == merged
-        assert lcm_of_orders(mod_q, mod_p) == merged
-        one = PeriodRecord(order=1, factors=Factorization(()))
-        assert lcm_of_orders(one, mod_p) == mod_p
+        assert order_mod_primes(2, (mod_13,)).factors.entries == ((2, 2), (3, 1))
+        assert order_mod_primes(2, (mod_11,)).factors.entries == ((2, 1), (5, 1))
+        assert order_mod_primes(2, (mod_13, mod_11)) == merged
+        assert order_mod_primes(2, (mod_11, mod_13)) == merged
+        # 1 has order 1 mod 7, which leaves the order mod 13 as it is.
+        assert order_mod_primes(15, ((7, factorize(6)), mod_13)) == order_mod_primes(2, (mod_13,))
 
     def test_every_unit_of_small_semiprimes_matches_direct_order(self):
         # The campaign's composition: the order mod p from the factored
@@ -157,7 +161,7 @@ class TestLcmOfOrders:
             if table is None:
                 hint = factorize(prime - 1)
                 table = orders_mod[prime] = [None] + [
-                    multiplicative_order(y, prime, exponent_hint=hint) for y in range(1, prime)
+                    order_mod_primes(y, ((prime, hint),)) for y in range(1, prime)
                 ]
             return table[x]
 
@@ -168,8 +172,9 @@ class TestLcmOfOrders:
             parts = ((p, factorize(p - 1)), (q, factorize(q - 1)))
             for a in range(1, n):
                 if math.gcd(a, n) == 1:
-                    composed = lcm_of_orders(order_mod(a % p, p), order_mod(a % q, q))
-                    assert composed == multiplicative_order(a, n, exponent_hint=hint), (a, n)
+                    r = math.lcm(order_mod(a % p, p).order, order_mod(a % q, q).order)
+                    composed = PeriodRecord(r, factorize(r))
+                    assert composed == order_mod_primes(a, ((n, hint),)), (a, n)
                     assert order_mod_primes(a, parts) == composed, (a, n)
 
 
@@ -188,7 +193,7 @@ class TestOrderModPrimes:
     def test_non_unit_raises_the_direct_oracle_message(self):
         parts = ((7, factorize(6)), (11, factorize(10)))
         with pytest.raises(ValueError) as direct:
-            multiplicative_order(0, 7, exponent_hint=factorize(6))
+            multiplicative_order(0, 7)
         with pytest.raises(ValueError) as by_primes:
             order_mod_primes(14, parts)
         assert str(by_primes.value) == str(direct.value)

@@ -33,3 +33,33 @@ def test_every_trace_target_resolves():
         if owner is None or attr not in vars(owner):
             missing.append((module, f"{cls}.{attr}"))
     assert missing == []
+
+
+def bound_names(node):
+    """The names an import statement binds in its scope."""
+    for alias in node.names:
+        yield alias.asname or alias.name.split(".")[0]
+
+
+def test_every_import_is_used_or_traced():
+    # An import a module never reads stays only while the tracer patches it
+    # there; once a target goes, this names the import left to delete.
+    src = Path(importlib.import_module("allz").__file__).parent
+    traced = {(module, attr) for module, attr, _ in child_constant("FUNCTION_TARGETS")}
+    unused = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = f"allz.{path.stem}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                unused += [
+                    (module, name)
+                    for name in bound_names(node)
+                    if name not in read and (module, name) not in traced
+                ]
+    assert unused == []
