@@ -24,9 +24,9 @@ import os
 import struct
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii as _quote
-from operator import contains, itemgetter
+from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -255,9 +255,9 @@ class TrialRecord(NamedTuple):
         from another.
         """
         values = list(_record_values(data))
-        # One pass over every field's type; the fields are walked one by one
-        # only to name the first mistyped one.
-        if not all(map(contains, _RECORD_TYPES, map(type, values))):
+        # One lookup of every field's type at once; the fields are walked one
+        # by one only to name the first mistyped one.
+        if tuple(map(type, values)) not in _TYPE_ROWS:
             for name, types, value in zip(_RECORD_FIELDS, _RECORD_TYPES, values):
                 if type(value) not in types:
                     raise TypeError(f"record field {name!r} cannot be {type(value).__name__}")
@@ -339,6 +339,8 @@ def _json_types(hint: Any) -> tuple[type, ...]:
 # evaluation the class holds them as forward references, whose form
 # varies across versions.
 _RECORD_TYPES = tuple(map(_json_types, _record_values(get_type_hints(TrialRecord))))
+# Every well-typed row of value types, one pick per field: 48 rows.
+_TYPE_ROWS = frozenset(product(*_RECORD_TYPES))
 
 # A record's line with each value's JSON text in place of its `%s`: one
 # object, its keys in field order, no spaces, as compact `json.dumps` writes it.
@@ -385,7 +387,9 @@ def record_from_json_line(line: str | bytes) -> TrialRecord:
     Bytes are decoded here, so a line that is not UTF-8 fails like any
     other malformed or blank line: with ValueError, KeyError or TypeError,
     as `TrialRecord.from_json_dict`. The stripped line must hold exactly
-    one JSON value, as `json.loads` requires.
+    one JSON value, as `json.loads` requires. This is the reference reader
+    of a line: `decode_chunk` reads a chunk through it whenever the chunk
+    cannot be decoded whole, and so wherever a line is bad.
     """
     text = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
     data, end = _decode_json(text)
@@ -429,17 +433,64 @@ def read_chunks(handle: BinaryIO) -> Iterator[bytes]:
 
 
 def decode_chunk(chunk: bytes) -> list[TrialRecord]:
-    """The records of a chunk of whole results-file lines, in line order.
+    r"""The records of a chunk of whole results-file lines, in line order.
 
-    The chunk is decoded once and split at its line ends only. A chunk that
-    is not UTF-8 is split as bytes instead, so only its bad line fails. On
-    a bad line, raises `BadLine` with the first bad line's index.
+    A UTF-8 chunk of n lines (what follows a last line end is no line) is
+    decoded by one JSON call, as the list "[[" + line 0 + "],\n[" + ... +
+    line n - 1 + "]]": the chunk with its last line end cut off and every
+    other line end made "],\n[". That list is taken only when the chunk's
+    lines hold exactly n "[" in all, the call reads the whole text, and it
+    gives n elements, each a list of one item that
+    `TrialRecord.from_json_dict` accepts. Then each line alone would give
+    the same record:
+
+    * A "[" outside a string always opens a list, and an accepted record
+      holds at least one list, its `failed_z`, which holds ints only. The
+      outer list, its n elements and their n `failed_z` are 2n + 1 lists,
+      and the text holds 2n + 1 "[": n + 1 added and n in the lines. So
+      every "[" opens one of those lists: no list hides under an extra or
+      a duplicate key, and no "[" sits inside a string.
+    * The second "[" of the text opens element 0. Each later added "["
+      follows "],\n", and a strict decoder takes no raw line end inside a
+      string, so that "," is structural. A `failed_z` follows a ":", so
+      that "[" opens an element, and the "]" before the "," closes the
+      element before.
+    * So the n added "[" after the first open the n elements, and element
+      i is exactly "[" + line i + "]". A line is then the record's JSON
+      text between JSON whitespace, which `str.strip` removes, so
+      `record_from_json_line` reads the same object from it and builds the
+      same record.
+
+    Any other chunk, or one whose whole decode fails, is read line by line
+    by `record_from_json_line`. A chunk that is not UTF-8 is split as
+    bytes, so only its bad line fails. On a bad line, raises `BadLine` with
+    the first bad line's index, and the line reader's error as its cause.
     """
     try:
-        lines = chunk.decode("utf-8").split("\n")
+        text = chunk.decode("utf-8")
     except UnicodeDecodeError:
-        lines = chunk.split(b"\n")
-    if not lines[-1]:  # what follows the last line end
+        return _decode_lines(chunk.split(b"\n"))
+    body = text[:-1] if text.endswith("\n") else text
+    count = body.count("\n") + 1
+    if body.count("[") == count:
+        # Read at call time, so a wrapper patched onto the method sees each call.
+        decode = TrialRecord.from_json_dict
+        whole = "[[" + body.replace("\n", "],\n[") + "]]"
+        try:
+            rows, end = _decode_json(whole)
+            # A row that is no list of one item fails to unpack, or hands
+            # `from_json_dict` a string, which it refuses.
+            if end == len(whole) and len(rows) == count:
+                return [decode(item) for (item,) in rows]
+        except _LINE_ERRORS:
+            pass
+    return _decode_lines(text.split("\n"))
+
+
+def _decode_lines(lines: list[str] | list[bytes]) -> list[TrialRecord]:
+    """The records of a chunk's lines, read one by one; the last is dropped
+    when empty, being what follows the chunk's last line end."""
+    if not lines[-1]:
         lines.pop()
     records = []
     for index, line in enumerate(lines):

@@ -1,5 +1,6 @@
 """Tests for seeded sampling, trial execution, and mergeable statistics."""
 
+import functools
 import json
 import math
 import pickle
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import semiprimes_below
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from allz import campaign, cli
@@ -1052,6 +1053,185 @@ class TestRecordSerialization:
             absorbed = tuple(getattr(record, name) for name in campaign._Absorbed._fields)
             assert campaign._absorbed(record) == absorbed
             assert cli._failure_row(record) == tuple(getattr(record, name) for name in row_fields)
+
+
+# Keys put first into a record's object. `from_json_dict` ignores a key
+# outside the fields, and of a key given twice the decoder keeps the last.
+EXTRA_KEYS = {
+    "duplicate failed_z": b'"failed_z":[[1],[2]]',
+    "duplicate r": b'"r":[]',
+    "[ in a string": b'"note":"a [ b"',
+    "[ escaped": b'"note":"\\u005b"',
+    "[ as a key": b'"[":0',
+}
+CHUNK_MUTATIONS = (
+    "join", "join records", "split", "insert ],[", "insert ]", "append ]", "append ,{}",
+    *EXTRA_KEYS, "crlf", "blank", "bom", "non-utf-8", "deep [", "deep {",
+)
+
+
+def mutate_lines(lines, kind, i, j):
+    """Apply one mutation to line i % len(lines), at byte j of it modulo its length + 1."""
+    i %= len(lines)
+    line = lines[i]
+    j %= len(line) + 1
+    if kind == "join" and i + 1 < len(lines):
+        lines[i : i + 2] = [line + lines[i + 1]]
+    elif kind == "join records" and i + 1 < len(lines):
+        lines[i : i + 2] = [line + b"],[" + lines[i + 1]]
+    elif kind == "split":
+        lines[i : i + 1] = [line[:j], line[j:]]
+    elif kind.startswith("insert "):
+        lines[i] = line[:j] + kind[7:].encode() + line[j:]
+    elif kind.startswith("append "):
+        lines[i] = line + kind[7:].encode()
+    elif kind in EXTRA_KEYS:
+        lines[i] = line.replace(b"{", b"{" + EXTRA_KEYS[kind] + b",", 1)
+    elif kind == "crlf":
+        lines[i] = line + b"\r"
+    elif kind == "blank":
+        lines.insert(i, b"")
+    elif kind == "bom":
+        lines[i] = b"\xef\xbb\xbf" + line  # a BOM
+    elif kind == "non-utf-8":
+        lines[i] = line[:j] + b"\xff" + line[j:]
+    elif kind == "deep [":  # past the decoder's recursion limit
+        lines.insert(i, b"[" * 5000)
+    elif kind == "deep {":
+        lines.insert(i, b'{"a":' * 5000)
+
+
+def decode_line_by_line(chunk):
+    """The reference reading of a chunk: each line alone, by the line reader."""
+    try:
+        lines = chunk.decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        lines = chunk.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    records = []
+    for index, line in enumerate(lines):
+        try:
+            records.append(record_from_json_line(line))
+        except campaign._LINE_ERRORS as exc:
+            raise campaign.BadLine(index) from exc
+    return records
+
+
+def decode_outcome(decode, chunk):
+    """A chunk's records, or its first bad line's index and the type of its cause."""
+    try:
+        return decode(chunk)
+    except campaign.BadLine as exc:
+        return exc.index, type(exc.__cause__)
+
+
+@functools.cache
+def varied_lines():
+    return tuple(record_json_line(r).encode() for r in varied_records())
+
+
+def split_beside_doubled(line):
+    """Two lines that hold one record between them, split inside a duplicate
+    key's [[1],[2]], then a line that holds two records joined by "],[".
+    Decoded as one list with "],\n[" between lines, the three lines give
+    three lists of one accepted record each; only the "[" count tells them
+    from three records."""
+    return [b'{"failed_z":[[1', b"2]]," + line[1:], line + b"],[" + line]
+
+
+def split_in_three(line):
+    """Three lines that hold one record, split inside a duplicate key's
+    [[1],[2],[3]]. They hold as many "[" as lines, but decoded as one list
+    with "],\n[" between lines they give one list of one record."""
+    return [b'{"failed_z":[[1', b"2", b"3]]," + line[1:]]
+
+
+class TestChunkDecode:
+    @settings(max_examples=400, deadline=None)
+    # A record line that a "]" or another object follows: the decode of the
+    # whole chunk stops early, or gives a list of two items.
+    @example(picks=[0], mutations=[("append ]", 0, 0)], final_end=True)
+    @example(picks=[0, 1], mutations=[("append ,{}", 0, 0)], final_end=False)
+    @given(
+        picks=st.lists(st.integers(0, 1 << 16), min_size=1, max_size=6),
+        mutations=st.lists(
+            st.tuples(
+                st.sampled_from(CHUNK_MUTATIONS), st.integers(0, 1 << 16), st.integers(0, 1 << 16)
+            ),
+            max_size=4,
+        ),
+        final_end=st.booleans(),
+    )
+    def test_matches_the_line_by_line_reading(self, picks, mutations, final_end):
+        pool = varied_lines()
+        lines = [pool[k % len(pool)] for k in picks]
+        for kind, i, j in mutations:
+            mutate_lines(lines, kind, i, j)
+        chunk = b"\n".join(lines) + b"\n" * final_end
+        expected = decode_outcome(decode_line_by_line, chunk)
+        assert decode_outcome(campaign.decode_chunk, chunk) == expected
+
+    def test_split_record_beside_two_records_is_refused(self):
+        good = varied_lines()
+        trap = split_beside_doubled(good[0])
+        whole = b"[[" + b"],\n[".join(trap) + b"]]"
+        rows = json.loads(whole)
+        assert len(rows) == len(trap) and all(len(row) == 1 for row in rows)
+        assert all(TrialRecord.from_json_dict(row[0]) for row in rows)
+        three = split_in_three(good[0])
+        assert b"".join(three).count(b"[") == len(three)
+        assert len(json.loads(b"[[" + b"],\n[".join(three) + b"]]")) == 1
+        # The first bad line is a split record's first half, which is no
+        # JSON, or the two records, which are more than one JSON value.
+        for lines, bad in (
+            (trap, (0, json.JSONDecodeError)),
+            ([*good[:3], *trap, *good[3:6]], (3, json.JSONDecodeError)),
+            ([*good[:3], trap[2], *trap[:2]], (3, ValueError)),
+            (three, (0, json.JSONDecodeError)),
+            ([*good[:2], *three, *good[2:4]], (2, json.JSONDecodeError)),
+        ):
+            for chunk in (
+                b"\n".join(lines),
+                b"\n".join(lines) + b"\n",
+                b"".join(line + b"\r\n" for line in lines),
+            ):
+                outcome = decode_outcome(campaign.decode_chunk, chunk)
+                assert outcome == decode_outcome(decode_line_by_line, chunk)
+                assert outcome == bad
+
+    def test_a_valid_chunk_is_decoded_whole_and_each_record_once(self, monkeypatch):
+        records = varied_records()
+        chunk = b"".join(line + b"\n" for line in varied_lines())
+        seen = []
+        decode = TrialRecord.from_json_dict
+
+        def counted(data):
+            seen.append(data["case_id"])
+            return decode(data)
+
+        monkeypatch.setattr(TrialRecord, "from_json_dict", counted)
+        # Read whole, the chunk never reaches the line reader.
+        monkeypatch.setattr(campaign, "record_from_json_line", None)
+        assert campaign.decode_chunk(chunk) == records
+        assert seen == [r.case_id for r in records]
+
+    def test_a_mistyped_field_is_named(self):
+        good = varied_records()[0].to_json_dict()
+        samples = {int: 7, str: "x", bool: True, type(None): None, list: [], dict: {}, float: 1.5}
+        fields = TrialRecord._fields
+        for name, types in zip(fields, campaign._RECORD_TYPES):
+            for kind, value in samples.items():
+                if kind in types:
+                    continue
+                with pytest.raises(TypeError) as info:
+                    TrialRecord.from_json_dict({**good, name: value})
+                assert str(info.value) == f"record field {name!r} cannot be {kind.__name__}"
+        # Of two mistyped fields, the first in field order is named.
+        for first, second in zip(fields, fields[1:]):
+            with pytest.raises(TypeError, match=f"^record field {first!r} cannot be float$"):
+                TrialRecord.from_json_dict({**good, second: 1.5, first: 1.5})
+        assert len(campaign._TYPE_ROWS) == math.prod(map(len, campaign._RECORD_TYPES)) == 48
 
 
 def compact_json(record):

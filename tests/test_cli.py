@@ -658,6 +658,34 @@ class TestReportCommand:
         assert len(json.loads(b"[" + b",".join(three) + b"]")) == 3
         assert report(("three.jsonl", joined(three))) == malformed("three.jsonl", 1)
 
+    @pytest.mark.parametrize("read", ("64 KiB", "64 bytes"))
+    def test_split_and_doubled_records_report_their_line(
+        self, capsys, tmp_path, monkeypatch, sample_records, read
+    ):
+        lines = [record_json_line(r).encode() for r in sample_records[:6]]
+        if read != "64 KiB":
+            set_chunk_bytes(monkeypatch, read, lines[0])
+        good = lines[0]
+        cut = good.index(b',"n":')
+        split = [good[:cut], good[cut:]]  # a record over two lines
+        # One record over two lines, split inside a duplicate key's
+        # [[1],[2]], and a line of two records joined by "],[": read as one
+        # JSON list with "],\n[" between lines, they give three records.
+        split_in_key = [b'{"failed_z":[[1', b"2]]," + good[1:]]
+        doubled = good + b"],[" + good
+        src = tmp_path / "bad.jsonl"
+        for bad_lines, lineno in (
+            (split, 3),
+            (split_in_key, 3),
+            ([doubled], 3),
+            ([*split_in_key, doubled], 3),
+            ([doubled, *split_in_key], 3),
+            ([good + b"," + good], 3),
+        ):
+            src.write_bytes(b"".join(line + b"\n" for line in [*lines[:2], *bad_lines, *lines[2:]]))
+            code, out, err = run_cli(capsys, "report", "--in", str(src))
+            assert (code, out, err) == (2, "", f"error: {src}:{lineno}: malformed record line\n")
+
     def test_negative_mean_keeps_its_sign(self, capsys, tmp_path):
         # A negative r_digits would give the mean (-11 + 5 + 5) / 3 = -1/3,
         # but the record contradicts its r and is rejected on load.
