@@ -1092,7 +1092,7 @@ def mutate_lines(lines, kind, i, j):
     elif kind == "blank":
         lines.insert(i, b"")
     elif kind == "bom":
-        lines[i] = b"\xef\xbb\xbf" + line  # a BOM
+        lines[i] = b"\xef\xbb\xbf" + line
     elif kind == "non-utf-8":
         lines[i] = line[:j] + b"\xff" + line[j:]
     elif kind == "deep [":  # past the decoder's recursion limit
@@ -1172,7 +1172,7 @@ class TestChunkDecode:
         expected = decode_outcome(decode_line_by_line, chunk)
         assert decode_outcome(campaign.decode_chunk, chunk) == expected
 
-    def test_split_record_beside_two_records_is_refused(self):
+    def test_split_and_joined_records_are_refused(self):
         good = varied_lines()
         trap = split_beside_doubled(good[0])
         whole = b"[[" + b"],\n[".join(trap) + b"]]"
