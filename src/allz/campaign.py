@@ -41,7 +41,7 @@ from typing import (
     get_type_hints,
 )
 
-from .numtheory import _SMALL_PRIMES, _odd_factor_table, _prime_flags, factorize, is_probable_prime
+from .numtheory import _SMALL_PRIMES, _prime_flags, factorize, is_probable_prime
 from .period_oracle import (
     PeriodRecord,
     # Unused here, but kept for perfbench's tracer: perfbench/child.py patches them on allz.campaign.
@@ -553,12 +553,10 @@ def _dependent_fields(n: int, r: int, z: int | str | None) -> tuple[int, str, in
 
 
 @lru_cache(maxsize=16)
-def _prime_draw_params(digit_count: int) -> tuple[int, int, int, bytearray | None]:
+def _prime_draw_params(digit_count: int) -> tuple[int, int, int, bytearray]:
     """lo, span and rejection limit of a digit class, and its sieve, cut from
     numtheory's prime tables by `_prime_flags`. Those reach 6 digits, every
-    class a campaign draws; a longer class has no sieve (None). A class of
-    20 or more digits spans more than 2**64 values, which one draw cannot
-    cover, and is refused.
+    class a campaign draws; `_prime_flags` refuses a longer class.
 
     Built on a class's first draw, so importing the package builds no sieve.
     The cache hands every caller the same sieve, so callers only read it: a
@@ -569,8 +567,6 @@ def _prime_draw_params(digit_count: int) -> tuple[int, int, int, bytearray | Non
         raise ValueError("digit count must be >= 1")
     lo = 10 ** (digit_count - 1)
     span = 10**digit_count - lo
-    if span > MASK64 + 1:
-        raise ValueError(f"a {digit_count}-digit class spans more than 2**64 values")
     return lo, span, _draw_limit(span), _prime_flags(lo, lo + span)
 
 
@@ -581,29 +577,18 @@ def _class_primes(digit_count: int, rng: RandomStream) -> Iterator[int]:
     rng.randint(lo, lo + span - 1) per candidate, within a budget of
     `_SAMPLING_CAP` draws of its own, rejected ones included. A suspended
     generator has read no draw past the prime it yielded, so the stream
-    stands exactly where the caller stopped taking primes. Classes of at
-    most 6 digits (every class a campaign draws) test a candidate by a
-    lookup in the class sieve, before the rejection limit, which most
-    candidates never reach; longer ones by `is_probable_prime`.
+    stands exactly where the caller stopped taking primes. A candidate is
+    tested by a lookup in the class sieve, before the rejection limit,
+    which most candidates never reach.
     """
     lo, span, limit, sieve = _prime_draw_params(digit_count)
     draws = rng.draws
     while True:
-        budget = islice(draws, _SAMPLING_CAP)
-        if sieve is not None:
-            for x in budget:
-                if sieve[r := x % span] and x < limit:
-                    break
-            else:
-                break  # the prime's budget is spent
-        else:
-            # Looked up as a module global on every use and never kept, so a
-            # wrapper swapped in for a traced run leaves with its restore.
-            for x in budget:
-                if x < limit and is_probable_prime(lo + (r := x % span)):
-                    break
-            else:
+        for x in islice(draws, _SAMPLING_CAP):
+            if sieve[r := x % span] and x < limit:
                 break
+        else:
+            break  # the prime's budget is spent
         yield lo + r
     raise RuntimeError(f"no {digit_count}-digit prime found within the draw budget")
 
@@ -1035,9 +1020,6 @@ def campaign_blocks(config: CampaignConfig) -> Iterator[Block]:
     if processes < 2:
         yield from map(_run_block, blocks)
         return
-    # Built here, the odd factor table is inherited by forked workers, which
-    # would otherwise each build their own (~2 ms) on every campaign.
-    _odd_factor_table()
     # Imported only here: it takes ~10 ms, which every other command and
     # every one-process campaign would pay on import.
     import multiprocessing

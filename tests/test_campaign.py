@@ -11,7 +11,7 @@ from conftest import semiprimes_below
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from allz import campaign, cli
+from allz import campaign, cli, numtheory
 from allz.campaign import (
     BOUND_CLASSES,
     GOLDEN,
@@ -141,7 +141,7 @@ class TestSamplers:
     def test_random_prime_replays_with_seed(self):
         assert random_prime(4, RandomStream(99)) == random_prime(4, RandomStream(99))
 
-    @pytest.mark.parametrize("digits", range(1, 8))
+    @pytest.mark.parametrize("digits", range(1, 7))
     def test_random_prime_matches_randint_loop(self, digits):
         for seed in range(40):
             fast, ref = RandomStream(seed), ScalarStream(seed)
@@ -168,15 +168,21 @@ class TestSamplers:
         with pytest.raises(RuntimeError, match="draw budget"):
             random_prime(4, RandomStream(seed))
 
-    def test_random_prime_rejects_classes_wider_than_a_draw(self):
-        # 19 digits span 9 * 10**18 < 2**64 values; 20 digits span more.
+    def test_classes_above_six_digits_are_refused(self):
+        # The prime tables stop at 10**6, so a longer class has no sieve and
+        # is refused before it reads a draw.
         rng, ref = RandomStream(17), ScalarStream(17)
-        assert random_prime(19, rng) == randint_loop_prime(19, ref)
-        with pytest.raises(ValueError, match="20-digit class spans more than 2"):
-            random_prime(20, rng)
-        with pytest.raises(ValueError, match="20-digit class spans more than 2"):
-            sample_semiprime(40, rng)
-        assert same_next_draws(rng, ref)
+        assert random_prime(6, rng) == randint_loop_prime(6, ref)
+        for refused in (
+            lambda: random_prime(7, rng),
+            lambda: random_prime(19, rng),
+            lambda: random_prime(20, rng),
+            lambda: sample_semiprime(13, rng),
+            lambda: sample_semiprime(40, rng),
+        ):
+            with pytest.raises(ValueError, match=r"no prime sieve of \[10+, 10+\)"):
+                refused()
+            assert same_next_draws(rng, ref)
 
     @pytest.mark.parametrize("digits", range(2, 13))
     def test_sample_semiprime_matches_reference(self, digits):
@@ -568,6 +574,26 @@ class TestCampaign:
         base = CampaignConfig(digits=4, trials=300, master_seed=11)
         lone = run_campaign(base)
         pooled = run_campaign(base._replace(workers=4))
+        assert lone.records == pooled.records
+        assert lone.stats == pooled.stats
+
+    def test_pooled_workers_build_their_own_tables(self, monkeypatch):
+        # 10 digits draw 5-digit primes, whose class sieve is cut from the
+        # odd factor table. With both caches cleared here, each forked worker
+        # builds its own table and sieve.
+        monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
+        config = CampaignConfig(
+            digits=10,
+            trials=600,
+            master_seed=23,
+            base_mode="perfect_square",
+            strategy="dong2023",
+            retry_limit=2,
+        )
+        numtheory._odd_factor_table.cache_clear()
+        campaign._prime_draw_params.cache_clear()
+        pooled = run_campaign(config._replace(workers=2))
+        lone = run_campaign(config)
         assert lone.records == pooled.records
         assert lone.stats == pooled.stats
 

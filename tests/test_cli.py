@@ -149,6 +149,29 @@ def test_import_builds_no_class_sieve():
     ), proc.stderr
 
 
+def test_pool_starts_without_building_the_odd_factor_table():
+    # An 8-digit campaign draws 4-digit primes, which never read the odd
+    # factor table, so a pooled one leaves it unbuilt in this process; a
+    # worker that needs it builds its own. Run fresh, so no earlier test
+    # has built it, with two usable CPUs, so the pool really starts.
+    code = (
+        "import sys\n"
+        "from allz import campaign, numtheory\n"
+        "campaign._usable_cpus = lambda: 2\n"
+        "config = campaign.CampaignConfig(digits=8, trials=600, workers=2)\n"
+        "assert len(campaign.run_campaign(config).records) == 600\n"
+        "print('multiprocessing' in sys.modules, numtheory._odd_factor_table.cache_info().currsize)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True 0\n"), proc.stderr
+
+
 class TestRhoExhaustion:
     """A factorization that rho gives up on ends in one error line, exit 3."""
 
