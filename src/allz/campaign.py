@@ -323,6 +323,7 @@ class TrialRecord(NamedTuple):
 
 _RECORD_FIELDS = TrialRecord._fields
 _FAILED_Z_INDEX = _RECORD_FIELDS.index("failed_z")
+_ATTEMPTS_USED_INDEX = _RECORD_FIELDS.index("attempts_used")
 # The fields' values of a decoded JSON object, in field order.
 _record_values = itemgetter(*_RECORD_FIELDS)
 
@@ -963,11 +964,14 @@ def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
             break  # tiny modulus: no unused base left to try
         tried.add(a_next)
         attempts_used += 1
-        retry_record = run_trial(case._replace(a=a_next), config.strategy, config.bound, order)
-        if retry_record.status == "success":
+        retry_case = TrialCase(case.case_id, case.semiprime, a_next, case.base_mode, case.seed)
+        if run_trial(retry_case, config.strategy, config.bound, order).status == "success":
             resolved = True
             break
-    return record._replace(attempts_used=attempts_used, resolved=resolved)
+    # The first attempt's record, with the case's attempts_used and resolved.
+    return TrialRecord._make(
+        record[:_ATTEMPTS_USED_INDEX] + (attempts_used, resolved, record.error)
+    )
 
 
 Block = tuple[bytes, CampaignStats]

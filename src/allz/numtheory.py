@@ -159,20 +159,20 @@ def _prime_flags(lo: int, hi: int) -> bytearray:
 def is_probable_prime(x: int) -> bool:
     """Deterministic primality test, correct for every x below 2**64.
 
-    Below 10**4 the answer is a lookup in the trial-division sieve. Above
-    it, x is first tried by the primes up to 37; an odd x below 10**6 is
-    then looked up in the odd factor table, and a larger one goes through
-    Miller-Rabin with fixed witness sets chosen by input size (see the
-    table above). Despite the traditional name there is nothing
+    Below 10**4 the answer is a lookup in the trial-division sieve, and
+    below 10**6 a parity test and one lookup in the odd factor table, with
+    no division. A larger x is first tried by the primes up to 37, then
+    goes through Miller-Rabin with fixed witness sets chosen by input size
+    (see the table above). Despite the traditional name there is nothing
     probabilistic in this range.
     """
     if x < _TRIAL_DIVISION_LIMIT:
         return x >= 2 and _PRIME_TABLE[x] == 1
+    if x < _FACTOR_TABLE_LIMIT:
+        return x & 1 == 1 and _odd_factor_table()[x >> 1] == 0
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if x % p == 0:
             return False
-    if x < _FACTOR_TABLE_LIMIT:
-        return _odd_factor_table()[x >> 1] == 0
     if x >= PRIMALITY_LIMIT:
         raise ValueError("deterministic witnesses only cover x < 2**64")
     d = x - 1

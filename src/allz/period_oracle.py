@@ -85,14 +85,17 @@ def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> Peri
     every unit mod m: p - 1 for a prime, phi(p**e) for a prime power, or a
     known universal exponent of m itself. Per modulus, a mod m must be
     nonzero and annihilated by the exponent; each prime of the exponent is
-    then divided out while the power still collapses to 1, which leaves the
-    order mod m. By the CRT the order mod the product is the lcm of these
-    orders, so each prime of the order keeps its largest valuation over the
-    parts. The reduced entries of every part go into one list. While at
-    most one part has an order above 1, that list is already the order's
-    factorization, so a single part needs no merge, sort or lcm; otherwise
-    the list is merged once, at the end. One factorization and one record
-    are built, both validated.
+    divided out while the power still collapses to 1, which leaves the
+    order mod m. A division that succeeds shows that a divisor of the
+    exponent annihilates a mod m, and so the exponent does too; only a part
+    where none succeeds pays a full power to check the exponent, and a
+    failed check raises `ValueError` on that part. By the CRT the order
+    mod the product is the lcm of these orders, so each prime of the order
+    keeps its largest valuation over the parts. The reduced entries of
+    every part go into one list. While at most one part has an order above
+    1, that list is already the order's factorization, so a single part
+    needs no merge, sort or lcm; otherwise the list is merged once, at the
+    end. One factorization and one record are built, both validated.
     """
     order, entries, merged = 1, [], False
     for m, hint in parts:
@@ -100,14 +103,15 @@ def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> Peri
         if b == 0:
             raise ValueError(f"base must satisfy 1 <= a < n, got a={b}, n={m}")
         r = hint.value
-        if pow(b, r, m) != 1:
-            raise ValueError("exponent hint does not annihilate the base")
         for z, mult in hint.entries:
             while mult and pow(b, r // z, m) == 1:
                 r //= z
                 mult -= 1
             if mult:
                 entries.append((z, mult))
+        # Unless r is still the hint, a reduction showed b**r = 1 with r | hint.
+        if r == hint.value and pow(b, r, m) != 1:
+            raise ValueError("exponent hint does not annihilate the base")
         if order == 1:  # the lcm is r, and the entries so far are r's own
             order = r
         else:

@@ -727,6 +727,39 @@ class TestCampaign:
             assert trials == [record.case_id] * record.attempts_used
         assert max(r.attempts_used for r in records) > 1  # retries ran
 
+    def test_retry_heavy_campaign_equals_its_reference(self):
+        # 12 digits, square bases, traditional and 3 retries: every attempt
+        # count from 1 to 4 occurs, and a fourth attempt both resolves a
+        # case and leaves one unresolved. The reference rebuilds each case
+        # from the public samplers, run_trial and _replace.
+        config = CampaignConfig(
+            digits=12, trials=150, base_mode="perfect_square", strategy="traditional",
+            retry_limit=3,
+        )
+        expected = []
+        for case_id in range(config.trials):
+            seed = case_seed(config.master_seed, case_id)
+            rng = RandomStream(seed)
+            sp = sample_semiprime(config.digits, rng)
+            case = make_case(*sp, sample_base(sp.n, "perfect_square", rng), case_id,
+                             "perfect_square", seed)
+            first = run_trial(case, "traditional")
+            attempts, resolved = 1, first.status == "success"
+            retry_rng = RandomStream(mix64(seed ^ campaign._RETRY_SALT))
+            tried = {case.a}
+            while not resolved and attempts <= config.retry_limit:
+                fresh = (sample_base(sp.n, "perfect_square", retry_rng) for _ in range(64))
+                a = next(a for a in fresh if a not in tried)
+                tried.add(a)
+                attempts += 1
+                resolved = run_trial(case._replace(a=a), "traditional").status == "success"
+            expected.append(first._replace(attempts_used=attempts, resolved=resolved))
+        records = run_campaign(config).records
+        assert records == expected
+        outcomes = {(r.attempts_used, r.resolved) for r in records}
+        assert {attempts for attempts, _ in outcomes} == {1, 2, 3, 4}
+        assert {(4, True), (4, False)} <= outcomes
+
     def test_retries_only_annotate_not_rewrite(self):
         base = CampaignConfig(digits=4, trials=150, master_seed=21, strategy="traditional")
         plain = run_campaign(base)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allz import numtheory
 from allz.campaign import _prime_draw_params
 from allz.numtheory import (
     Factorization,
@@ -71,6 +72,18 @@ class TestIsProbablePrime:
         flags = naive_sieve(100_000)
         for x in range(100_001):
             assert is_probable_prime(x) == bool(flags[x])
+
+    def test_matches_sieve_to_a_million(self):
+        # Every x the trial-division sieve or the odd factor table answers,
+        # and the first past them, against a sieve of its own.
+        flags = numtheory._sieve(10**6)
+        answers = list(map(is_probable_prime, range(10**6 + 1)))
+        assert answers == [flag == 1 for flag in flags]
+
+    def test_table_edge_matches_miller_rabin(self):
+        for x in [999_983, 10**6, 1_000_003, *range(10**6 - 50, 10**6 + 51)]:
+            assert is_probable_prime(x) == miller_rabin(x), x
+        assert is_probable_prime(999_983) and is_probable_prime(1_000_003)
 
     def test_known_large_values(self):
         assert is_probable_prime((1 << 61) - 1)

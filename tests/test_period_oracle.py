@@ -7,6 +7,7 @@ from conftest import semiprimes_below
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from allz import period_oracle
 from allz.numtheory import Factorization, factorize
 from allz.period_oracle import (
     PeriodRecord,
@@ -197,6 +198,108 @@ class TestOrderModPrimes:
         with pytest.raises(ValueError) as by_primes:
             order_mod_primes(14, parts)
         assert str(by_primes.value) == str(direct.value)
+
+
+def annihilation_first(a, parts):
+    """order_mod_primes as it was before a reduction stood in for the full
+    power: each part checks that its hint annihilates the base, then
+    reduces; the orders merge by lcm and each prime keeps its largest
+    multiplicity."""
+    order, factors = 1, {}
+    for m, hint in parts:
+        b = a % m
+        if b == 0:
+            raise ValueError(f"base must satisfy 1 <= a < n, got a={b}, n={m}")
+        r = hint.value
+        if pow(b, r, m) != 1:
+            raise ValueError("exponent hint does not annihilate the base")
+        for z, mult in hint.entries:
+            while mult and pow(b, r // z, m) == 1:
+                r //= z
+                mult -= 1
+            if mult:
+                factors[z] = max(factors.get(z, 0), mult)
+        order = math.lcm(order, r)
+    return PeriodRecord(order, Factorization(tuple(sorted(factors.items()))))
+
+
+def order_or_error(oracle, a, parts):
+    try:
+        return oracle(a, parts)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Moduli with factored exponents: primes with p - 1, prime powers with
+# phi(p**e), composites with a universal exponent (21, 91) or with one that
+# annihilates no unit but 1 (15 with 14), and empty hints, which only 1
+# satisfies.
+ORACLE_PARTS = (
+    *((p, factorize(p - 1)) for p in (2, 3, 5, 7, 11, 13, 1009, 10007)),
+    (9, factorize(6)), (25, factorize(20)), (32, factorize(16)), (7**3, factorize(294)),
+    (21, factorize(6)), (91, factorize(12)), (15, factorize(14)),
+    (17, Factorization(())), (4, Factorization(())),
+)
+
+
+class TestReductionProvesAnnihilation:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_checking_annihilation_first(self, data):
+        parts = data.draw(st.lists(st.sampled_from(ORACLE_PARTS), min_size=1, max_size=3))
+        span = math.prod(m for m, _ in parts)
+        m = data.draw(st.sampled_from([m for m, _ in parts]))
+        kind = data.draw(st.sampled_from(("any", "square", "non-residue", "non-unit")))
+        k = data.draw(st.integers(min_value=0, max_value=2 * span))
+        if kind == "any":
+            a = k
+        elif kind == "square":
+            a = k * k
+        elif kind == "non-residue":
+            # The least g whose Euler power mod m is not 1; g + m*k is one too.
+            g = next((g for g in range(2, m) if pow(g, (m - 1) // 2 or 1, m) != 1), 1)
+            a = g + m * k
+        else:
+            a = min(z for z in range(2, m + 1) if m % z == 0) * k
+        expected = order_or_error(annihilation_first, a, parts)
+        assert order_or_error(order_mod_primes, a, parts) == expected
+
+    def test_each_error_of_the_reference_is_kept(self):
+        cases = [
+            (2, ((15, factorize(14)),)),
+            (2, ((7, factorize(6)), (15, factorize(14)))),
+            (3, ((15, factorize(14)),)),  # no unit mod 15
+            (2, ((17, Factorization(())),)),
+            (1, ((17, Factorization(())),)),
+            (14, ((7, factorize(6)), (11, factorize(10)))),
+            (4, ((7**3, factorize(294)), (15, factorize(4)))),
+        ]
+        for a, parts in cases:
+            expected = order_or_error(annihilation_first, a, parts)
+            assert order_or_error(order_mod_primes, a, parts) == expected, (a, parts)
+        assert order_or_error(order_mod_primes, 2, cases[0][1]) == (
+            "exponent hint does not annihilate the base"
+        )
+
+    def test_only_an_unreduced_part_pays_the_full_power(self, monkeypatch):
+        # 4 is a square mod 1009, so its order divides 504 and the first
+        # reduction proves that 1008 annihilates it; a primitive root has
+        # order 1008, so no reduction succeeds and its part pays pow(g, 1008).
+        hint = factorize(1008)
+        root = next(g for g in range(2, 1009) if order_brute_force(g, 1009) == 1008)
+        expected = {a: order_brute_force(a, 1009) for a in (4, root)}
+        exponents = []
+
+        def counted_pow(base, exponent, modulus):
+            exponents.append(exponent)
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(period_oracle, "pow", counted_pow, raising=False)
+        assert order_mod_primes(4, ((1009, hint),)).order == expected[4]
+        assert exponents and 1008 not in exponents
+        exponents.clear()
+        assert order_mod_primes(root, ((1009, hint),)).order == expected[root] == 1008
+        assert exponents.count(1008) == 1
 
 
 class TestPeriodRecord:
