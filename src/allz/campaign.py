@@ -977,9 +977,9 @@ def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
 Block = tuple[bytes, CampaignStats]
 
 
-def _run_block(args: tuple[CampaignConfig, int, int]) -> Block:
-    """Cases lo..hi-1 as results-file bytes, and their stats, both made here."""
-    config, lo, hi = args
+def _run_block(config: CampaignConfig, lo: int) -> Block:
+    """The block of cases from lo as results-file bytes, and its stats, made here."""
+    hi = min(lo + _BLOCK_SIZE, config.trials)
     records = [_execute_case(config, cid) for cid in range(lo, hi)]
     # Folded and encoded in loops of their own, which run faster than one
     # loop that interleaves them with the cases. Not by compute_metrics: the
@@ -990,6 +990,18 @@ def _run_block(args: tuple[CampaignConfig, int, int]) -> Block:
     lines = [record_json_line(record) for record in records]
     lines.append("")
     return "\n".join(lines).encode(), tally.stats()
+
+
+def _helper(conn, config: CampaignConfig, k: int, stride: int) -> None:
+    """A helper process: send blocks k, k + stride, ... down `conn`, or the error."""
+    try:
+        try:
+            for lo in range(k * _BLOCK_SIZE, config.trials, stride * _BLOCK_SIZE):
+                conn.send(_run_block(config, lo))
+        except Exception as exc:
+            conn.send(exc)
+    except BrokenPipeError:
+        pass  # the main process has stopped reading
 
 
 class CampaignResult(NamedTuple):
@@ -1012,24 +1024,50 @@ def _usable_cpus() -> int:
 def campaign_blocks(config: CampaignConfig) -> Iterator[Block]:
     """Each block's results-file bytes and stats, in case_id order.
 
-    Blocks of `_BLOCK_SIZE` cases run in this process, or on a pool of at
-    most `config.workers` processes, one per block and per usable CPU at
-    most. The bytes and stats are the same either way, and only the
-    blocks in flight are held, so memory does not grow with the trials.
+    Blocks of `_BLOCK_SIZE` cases run in W = min(workers, blocks, usable
+    CPUs) processes: this one runs blocks 0, W, 2W, ... and each of W - 1
+    helper processes sends its own stride of blocks down a pipe. The bytes
+    and stats do not depend on W. A helper blocks on its full pipe until
+    its block is read, so memory does not grow with the trials.
     """
     config.validate()
     starts = range(0, config.trials, _BLOCK_SIZE)
-    blocks = ((config, lo, min(lo + _BLOCK_SIZE, config.trials)) for lo in starts)
     processes = min(config.workers, len(starts), _usable_cpus())
-    if processes < 2:
-        yield from map(_run_block, blocks)
-        return
-    # Imported only here: it takes ~10 ms, which every other command and
-    # every one-process campaign would pay on import.
-    import multiprocessing
-
-    with multiprocessing.Pool(processes=processes) as pool:
-        yield from pool.imap(_run_block, blocks)
+    if processes > 1:
+        # Imported only here: it takes ~10 ms, which every other command and
+        # every one-process campaign would pay on import.
+        import multiprocessing
+    helpers = []
+    try:
+        for k in range(1, processes):
+            reader, writer = multiprocessing.Pipe(duplex=False)
+            helper = multiprocessing.Process(
+                target=_helper, args=(writer, config, k, processes), daemon=True
+            )
+            helper.start()
+            helpers.append((helper, reader))
+            # Only the helper may hold the writing end, so its exit ends the pipe.
+            writer.close()
+        for i, lo in enumerate(starts):
+            if i % processes == 0:
+                yield _run_block(config, lo)
+                continue
+            helper, reader = helpers[i % processes - 1]
+            try:
+                block = reader.recv()
+            except EOFError:
+                helper.join()
+                raise OSError(
+                    f"helper process exited with code {helper.exitcode} before sending case {lo}"
+                ) from None
+            if isinstance(block, Exception):
+                raise block
+            yield block
+    finally:
+        for helper, reader in helpers:
+            helper.terminate()
+            helper.join()
+            reader.close()
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:

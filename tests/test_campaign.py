@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+import multiprocessing
 import pickle
 from fractions import Fraction
 
@@ -579,8 +580,8 @@ class TestCampaign:
 
     def test_pooled_workers_build_their_own_tables(self, monkeypatch):
         # 10 digits draw 5-digit primes, whose class sieve is cut from the
-        # odd factor table. With both caches cleared here, each forked worker
-        # builds its own table and sieve.
+        # odd factor table. With both caches cleared here, this process and
+        # its forked helper each build their own table and sieve.
         monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
         config = CampaignConfig(
             digits=10,
@@ -627,37 +628,47 @@ class TestCampaign:
             with pytest.raises(ValueError):
                 run_campaign(bad)
 
-    def test_pool_has_no_more_workers_than_blocks(self, monkeypatch):
-        sizes = []
+    def test_fan_out_has_no_more_processes_than_blocks(self, monkeypatch):
+        started = []
 
-        class InProcessPool:
-            def __init__(self, processes):
-                sizes.append(processes)
+        class CountedProcess(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
 
-            def __enter__(self):
-                return self
+        def processes(config):
+            """The records of a run, and how many processes computed them."""
+            before = len(started)
+            records = run_campaign(config).records
+            return records, 1 + len(started) - before  # this one, and its helpers
 
-            def __exit__(self, *exc_info):
-                return False
-
-            def imap(self, fn, items):
-                return [fn(item) for item in items]
-
-        # campaign_blocks imports multiprocessing only where it starts a pool.
-        monkeypatch.setattr("multiprocessing.Pool", InProcessPool)
+        # campaign_blocks imports multiprocessing only where it starts helpers.
+        monkeypatch.setattr(multiprocessing, "Process", CountedProcess)
         monkeypatch.setattr(campaign, "_usable_cpus", lambda: 64)
         config = CampaignConfig(digits=4, trials=600, master_seed=6, workers=64)
-        pooled = run_campaign(config)
-        assert sizes == [3]  # 600 trials are 3 blocks of at most 256
-        assert pooled.records == run_campaign(config._replace(workers=1)).records
+        fanned, used = processes(config)
+        assert used == 3  # 600 trials are 3 blocks of at most 256
+        assert fanned == run_campaign(config._replace(workers=1)).records
         # No more processes than CPUs this process may use, either.
         monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
-        assert run_campaign(config).records == pooled.records
-        assert sizes == [3, 2]
-        # One usable CPU runs the blocks here, without a pool.
+        assert processes(config) == (fanned, 2)
+        # One usable CPU runs the blocks here, without a helper.
         monkeypatch.setattr(campaign, "_usable_cpus", lambda: 1)
-        assert run_campaign(config).records == pooled.records
-        assert sizes == [3, 2]
+        assert processes(config) == (fanned, 1)
+        assert multiprocessing.active_children() == []
+
+    def test_early_close_stops_every_helper(self, monkeypatch, capfd):
+        monkeypatch.setattr(campaign, "_usable_cpus", lambda: 3)
+        blocks = campaign_blocks(CampaignConfig(digits=7, trials=10**5, workers=3))
+        next(blocks)
+        blocks.close()
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr() == ("", "")  # helpers print no traceback
+
+    def test_helper_stops_quietly_once_its_reader_is_gone(self):
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        reader.close()
+        campaign._helper(writer, CampaignConfig(digits=4, trials=300), 0, 1)
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         monkeypatch.delattr(campaign.os, "sched_getaffinity", raising=False)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -123,7 +124,8 @@ class TestInputBoundary:
 def test_import_builds_no_class_sieve():
     # Every CLI call pays the import; a prime class's sieve waits for its
     # first draw, and the odd factor table for its first lookup. Only a
-    # pooled campaign imports multiprocessing, and only a CSV report csv.
+    # campaign with helper processes imports multiprocessing, and only a
+    # CSV report csv.
     # No command loads dataclasses (with inspect) or fractions (with
     # decimal): `cochran_sample_size` imports fractions on its first call.
     # Run without `site`, so that only what the import itself loads is in
@@ -151,9 +153,10 @@ def test_import_builds_no_class_sieve():
 
 def test_pool_starts_without_building_the_odd_factor_table():
     # An 8-digit campaign draws 4-digit primes, which never read the odd
-    # factor table, so a pooled one leaves it unbuilt in this process; a
-    # worker that needs it builds its own. Run fresh, so no earlier test
-    # has built it, with two usable CPUs, so the pool really starts.
+    # factor table, so one on two workers leaves it unbuilt in this process,
+    # though this process runs half the blocks; a process that needs it
+    # builds its own. Run fresh, so no earlier test has built it, with two
+    # usable CPUs, so the helper really starts.
     code = (
         "import sys\n"
         "from allz import campaign, numtheory\n"
@@ -341,6 +344,61 @@ class TestCampaignCommand:
             )
             assert code == 0
             assert out_path.read_bytes() == want.encode()
+
+    def test_helper_error_exits_3_like_a_serial_run(self, capsys, monkeypatch, tmp_path):
+        # A forked helper inherits the patch; this process runs its blocks as usual.
+        main_pid = os.getpid()
+        run_block = campaign._run_block
+
+        def failing_in_helpers(config, lo):
+            if os.getpid() != main_pid:
+                raise RuntimeError(f"no prime drawn for case {lo}")
+            return run_block(config, lo)
+
+        monkeypatch.setattr(campaign, "_run_block", failing_in_helpers)
+        monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
+        out_path = tmp_path / "r.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            "campaign", "--digits", "4", "--trials", "600", "--workers", "2",
+            "--out", str(out_path),
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: internal sampling failure: no prime drawn for case 256\n"
+        assert not out_path.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_helper_death_exits_3_without_hanging(self, tmp_path):
+        # A helper that exits partway through a block ends its pipe, so the
+        # main process stops at that block instead of waiting on it forever.
+        out_path = tmp_path / "r.jsonl"
+        code = (
+            "import os, sys\n"
+            "from allz import campaign, cli\n"
+            "main_pid = os.getpid()\n"
+            "execute = campaign._execute_case\n"
+            "def dying(config, case_id):\n"
+            "    if os.getpid() != main_pid and case_id == 300:\n"
+            "        os._exit(1)\n"
+            "    return execute(config, case_id)\n"
+            "campaign._execute_case = dying\n"
+            "campaign._usable_cpus = lambda: 2\n"
+            "sys.exit(cli.main(['campaign', '--digits', '7', '--trials', '2000',"
+            f" '--workers', '2', '--out', {str(out_path)!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "error: campaign I/O failure: helper process exited with code 1"
+            " before sending case 256\n"
+        )
+        assert not out_path.exists()
 
 
 @pytest.mark.parametrize(
