@@ -96,17 +96,16 @@ def _draw_limit(bound: int) -> int:
     return (MASK64 + 1) - (MASK64 + 1) % bound
 
 
-@lru_cache(maxsize=16)
-def _lane_constants(k: int) -> tuple[int, int, int, struct.Struct]:
-    """Per-lane ones, the steps i * GOLDEN (i = 1..k) and 64-bit masks, in
-    128-bit lanes, and the unpacker of the low 64-bit word of each lane."""
-    ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")
-    ramp = int.from_bytes(b"".join(i.to_bytes(16, "little") for i in range(1, k + 1)), "little")
-    return ones, ramp * GOLDEN, ones * MASK64, struct.Struct("<" + "Q8x" * k)
+# mix64_batch's 32 lanes of 128 bits: a one in each lane, the steps i * GOLDEN
+# (i = 1..32), the 64-bit masks, and the unpacker of each lane's low word.
+_LANE_ONES = sum(1 << 128 * i for i in range(32))
+_LANE_STEPS = sum(i * GOLDEN << 128 * (i - 1) for i in range(1, 33))
+_LANE_MASKS = _LANE_ONES * MASK64
+_LANE_WORDS = struct.Struct("<" + "Q8x" * 32)
 
 
-def mix64_batch(state: int, k: int) -> tuple[int, ...]:
-    """mix64(state + i * GOLDEN) for i in 1..k as a tuple, computed in one packed pass.
+def mix64_batch(state: int) -> tuple[int, ...]:
+    """mix64(state + i * GOLDEN) for i in 1..32 as a tuple, computed in one packed pass.
 
     Lane i of one Python int holds the state of draw i in its low 64 bits.
     Each lane is 128 bits wide so a 64 x 64-bit product never carries into
@@ -114,20 +113,20 @@ def mix64_batch(state: int, k: int) -> tuple[int, ...]:
     the bits it shifts down from the next lane are dropped before the
     following multiply.
     """
-    ones, steps, lanes, words = _lane_constants(k)
-    x = ((state & MASK64) * ones + steps) & lanes
+    lanes = _LANE_MASKS
+    x = ((state & MASK64) * _LANE_ONES + _LANE_STEPS) & lanes
     x = (x ^ x >> 30) & lanes
     x = x * 0xBF58476D1CE4E5B9 & lanes
     x = (x ^ x >> 27) & lanes
     x = x * 0x94D049BB133111EB & lanes
     x = (x ^ x >> 31) & lanes
-    return words.unpack(x.to_bytes(16 * k, "little"))
+    return _LANE_WORDS.unpack(x.to_bytes(512, "little"))
 
 
 def _draw_batches(state: int) -> Iterator[tuple[int, ...]]:
     """The draws after `state` in batches of 32."""
     while True:
-        yield mix64_batch(state, 32)
+        yield mix64_batch(state)
         state = (state + 32 * GOLDEN) & MASK64
 
 
@@ -994,6 +993,11 @@ def _run_block(config: CampaignConfig, lo: int) -> Block:
 
 def _helper(conn, config: CampaignConfig, k: int, stride: int) -> None:
     """A helper process: send blocks k, k + stride, ... down `conn`, or the error."""
+    # Imported only here, where multiprocessing has already loaded it. Ctrl-C
+    # reaches the whole process group; the main process alone answers it.
+    import signal
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         try:
             for lo in range(k * _BLOCK_SIZE, config.trials, stride * _BLOCK_SIZE):

@@ -6,7 +6,8 @@ one or more JSONL result files), and `verify-paper` (replay the embedded
 reference failure cases).
 
 Exit codes are uniform across subcommands: 0 success, 1 method failure or
-verification mismatch, 2 invalid input, 3 I/O or internal error.
+verification mismatch, 2 invalid input, 3 I/O or internal error, and 130
+when Ctrl-C stops a campaign.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ EXIT_OK = 0
 EXIT_METHOD_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_IO_ERROR = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 _BOUND_CLASS_LABELS = {
     "1": "z <= 9",
@@ -256,14 +258,14 @@ def _stats_summary_lines(stats: CampaignStats, header: str) -> list[str]:
     return lines
 
 
-def _campaign_failed(out: str | None, message: str) -> int:
-    """Report a campaign cut short and remove its partial results file."""
-    # A partial file would read as a smaller campaign that ran to the end.
-    if out and os.path.isfile(out):
+def _campaign_failed(partial: str | None, message: str, code: int = EXIT_IO_ERROR) -> int:
+    """Report a campaign cut short and remove its temporary results file."""
+    # Only that file: a results file from an earlier run stays as it was.
+    if partial:
         with contextlib.suppress(OSError):
-            os.remove(out)
+            os.remove(partial)
     print(f"error: {message}", file=sys.stderr)
-    return EXIT_IO_ERROR
+    return code
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -273,9 +275,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     except (ValueError, TypeError, OSError, RecursionError) as exc:
         print(f"error: invalid campaign configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    # Opened before the first case runs, so an unwritable path costs nothing.
+    # The blocks go to a temporary file beside the results file, renamed over
+    # it after the last block, so a results file is whole or absent. It is
+    # opened before the first case runs, so an unwritable path costs nothing.
+    partial = handle = None
     try:
-        handle = open(args.out, "wb") if args.out else None
+        if args.out:
+            if os.path.isdir(args.out):
+                raise IsADirectoryError("it is a directory")
+            partial = f"{args.out}.{os.getpid()}.tmp"
+            handle = open(partial, "xb")
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
@@ -287,10 +296,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 if handle is not None:
                     handle.write(chunk)
                 stats = merge_stats(stats, block_stats)
+        if partial:
+            os.replace(partial, args.out)
     except RuntimeError as exc:
-        return _campaign_failed(args.out, f"internal sampling failure: {exc}")
+        return _campaign_failed(partial, f"internal sampling failure: {exc}")
     except OSError as exc:
-        return _campaign_failed(args.out, f"campaign I/O failure: {exc}")
+        return _campaign_failed(partial, f"campaign I/O failure: {exc}")
+    except KeyboardInterrupt:
+        return _campaign_failed(partial, "campaign interrupted", EXIT_INTERRUPTED)
     header = (
         f"campaign: digits={config.digits} trials={config.trials} "
         f"strategy={config.strategy} base_mode={config.base_mode} "

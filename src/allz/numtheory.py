@@ -38,22 +38,10 @@ _FACTOR_TABLE_LIMIT = 10**6
 #: Exclusive upper end of the range is_probable_prime decides.
 PRIMALITY_LIMIT = 1 << 64
 
-# Deterministic Miller-Rabin witness sets with their validity thresholds
-# (standard published bounds; the last row covers everything below 2**64).
-_MR_WITNESS_TABLE: tuple[tuple[int, tuple[int, ...]], ...] = (
-    (2_047, (2,)),
-    (1_373_653, (2, 3)),
-    (9_080_191, (31, 73)),
-    (25_326_001, (2, 3, 5)),
-    (3_215_031_751, (2, 3, 5, 7)),
-    (4_759_123_141, (2, 7, 61)),
-    (1_122_004_669_633, (2, 13, 23, 1_662_803)),
-    (2_152_302_898_747, (2, 3, 5, 7, 11)),
-    (3_474_749_660_383, (2, 3, 5, 7, 11, 13)),
-    (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17)),
-    (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23)),
-    (PRIMALITY_LIMIT, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
+# Miller-Rabin with the 12 primes up to 37 as witnesses is deterministic for
+# every x < 2**64 (Sorenson and Webster, Math. Comp. 2017, prove it below
+# 3.18 * 10**23); trial division before it uses the same primes.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Sets a slot of an immutable instance from its own __init__.
 _setattr = object.__setattr__
@@ -162,15 +150,15 @@ def is_probable_prime(x: int) -> bool:
     Below 10**4 the answer is a lookup in the trial-division sieve, and
     below 10**6 a parity test and one lookup in the odd factor table, with
     no division. A larger x is first tried by the primes up to 37, then
-    goes through Miller-Rabin with fixed witness sets chosen by input size
-    (see the table above). Despite the traditional name there is nothing
-    probabilistic in this range.
+    goes through Miller-Rabin with those 12 primes as witnesses, the one
+    set that is deterministic below 2**64 (see above). Despite the
+    traditional name there is nothing probabilistic in this range.
     """
     if x < _TRIAL_DIVISION_LIMIT:
         return x >= 2 and _PRIME_TABLE[x] == 1
     if x < _FACTOR_TABLE_LIMIT:
         return x & 1 == 1 and _odd_factor_table()[x >> 1] == 0
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if x % p == 0:
             return False
     if x >= PRIMALITY_LIMIT:
@@ -180,10 +168,7 @@ def is_probable_prime(x: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for threshold, witnesses in _MR_WITNESS_TABLE:
-        if x < threshold:
-            break
-    for a in witnesses:
+    for a in _MR_WITNESSES:
         t = pow(a, d, x)
         if t == 1 or t == x - 1:
             continue

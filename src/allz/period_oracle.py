@@ -91,13 +91,11 @@ def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> Peri
     where none succeeds pays a full power to check the exponent, and a
     failed check raises `ValueError` on that part. By the CRT the order
     mod the product is the lcm of these orders, so each prime of the order
-    keeps its largest valuation over the parts. The reduced entries of
-    every part go into one list. While at most one part has an order above
-    1, that list is already the order's factorization, so a single part
-    needs no merge, sort or lcm; otherwise the list is merged once, at the
-    end. One factorization and one record are built, both validated.
+    keeps its largest valuation over the parts: the reduced entries of
+    every part go into one list, merged once at the end. One factorization
+    and one record are built, both validated.
     """
-    order, entries, merged = 1, [], False
+    order, entries = 1, []
     for m, hint in parts:
         b = a % m
         if b == 0:
@@ -112,13 +110,8 @@ def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> Peri
         # Unless r is still the hint, a reduction showed b**r = 1 with r | hint.
         if r == hint.value and pow(b, r, m) != 1:
             raise ValueError("exponent hint does not annihilate the base")
-        if order == 1:  # the lcm is r, and the entries so far are r's own
-            order = r
-        else:
-            order, merged = math.lcm(order, r), True
-    return PeriodRecord(
-        order=order, factors=Factorization(_lcm_entries(entries) if merged else tuple(entries))
-    )
+        order = math.lcm(order, r)
+    return PeriodRecord(order=order, factors=Factorization(_lcm_entries(entries)))
 
 
 def _lcm_entries(entries: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -4,7 +4,9 @@ import functools
 import json
 import math
 import multiprocessing
+import os
 import pickle
+import signal
 from fractions import Fraction
 
 import pytest
@@ -78,9 +80,7 @@ class TestSeedDerivation:
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_mix64_batch_matches_scalar(self, seed):
-        scalar = [mix64(seed + i * GOLDEN) for i in range(1, 257)]
-        for k in range(1, 257):
-            assert mix64_batch(seed, k) == tuple(scalar[:k]), k
+        assert mix64_batch(seed) == tuple(mix64(seed + i * GOLDEN) for i in range(1, 33))
 
     @pytest.mark.parametrize("seed", EDGE_SEEDS)
     def test_next_raw_matches_scalar_stream(self, seed):
@@ -89,29 +89,29 @@ class TestSeedDerivation:
         assert [rng.next_raw() for _ in range(1000)] == [ref.next_raw() for _ in range(1000)]
 
     def test_batches_stay_within_one_batch_of_the_draws(self, monkeypatch):
-        sizes = []
+        batches = []
         batch = campaign.mix64_batch
 
-        def spy(state, k):
-            sizes.append(k)
-            return batch(state, k)
+        def spy(state):
+            batches.append(batch(state))
+            return batches[-1]
 
         monkeypatch.setattr(campaign, "mix64_batch", spy)
         rng, ref = RandomStream(3), ScalarStream(3)
         for h in range(1, 2001):
             assert rng.next_raw() == ref.next_raw()
-            assert sum(sizes) <= h + 31, h
+            assert 32 * len(batches) <= h + 31, h
         # random_prime and sample_semiprime read the same draws and compute
         # no more than one batch ahead either.
         for _ in range(50):
             assert random_prime(5, rng) == randint_loop_prime(5, ref)
-            assert sum(sizes) <= ref.drawn + 31
+            assert 32 * len(batches) <= ref.drawn + 31
         for digits in (2, 7, 12):
             for _ in range(20):
                 sp = sample_semiprime(digits, rng)
                 assert (sp.p, sp.q) == reference_semiprime(digits, ref)
-                assert sum(sizes) <= ref.drawn + 31
-        assert set(sizes) == {32}
+                assert 32 * len(batches) <= ref.drawn + 31
+        assert {len(draws) for draws in batches} == {32}
         assert same_next_draws(rng, ref, count=1)
 
     def test_below_rejects_bounds_above_two_to_the_64(self):
@@ -668,7 +668,32 @@ class TestCampaign:
     def test_helper_stops_quietly_once_its_reader_is_gone(self):
         reader, writer = multiprocessing.Pipe(duplex=False)
         reader.close()
-        campaign._helper(writer, CampaignConfig(digits=4, trials=300), 0, 1)
+        handler = signal.getsignal(signal.SIGINT)
+        try:
+            campaign._helper(writer, CampaignConfig(digits=4, trials=300), 0, 1)
+        finally:
+            signal.signal(signal.SIGINT, handler)  # _helper ignores Ctrl-C from here on
+
+    def test_helper_sends_on_through_ctrl_c(self):
+        # Ctrl-C reaches every process of the group: a helper ignores it and
+        # leaves the main process to stop the campaign. A block is larger
+        # than the pipe holds, so the helper is still running when signalled.
+        config = CampaignConfig(digits=7, trials=6 * campaign._BLOCK_SIZE)
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        helper = multiprocessing.Process(target=campaign._helper, args=(writer, config, 1, 2))
+        helper.start()
+        writer.close()
+        try:
+            chunks = [reader.recv()[0]]
+            os.kill(helper.pid, signal.SIGINT)
+            chunks += [reader.recv()[0] for _ in range(2)]
+            helper.join(timeout=60)
+        finally:
+            helper.terminate()
+            helper.join()
+            reader.close()
+        assert helper.exitcode == 0
+        assert chunks == [campaign._run_block(config, lo)[0] for lo in (256, 768, 1280)]
 
     def test_usable_cpus_without_affinity(self, monkeypatch):
         monkeypatch.delattr(campaign.os, "sched_getaffinity", raising=False)

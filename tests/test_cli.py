@@ -1,11 +1,14 @@
 """End-to-end CLI tests: exit codes, wire formats, and report artifacts."""
 
+import contextlib
 import csv
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -332,6 +335,17 @@ class TestCampaignCommand:
         assert err.startswith("error: cannot write ")
         assert err.count("\n") == 1
 
+    def test_directory_output_fails_before_any_case(self, capsys, monkeypatch, tmp_path):
+        def no_case(config, case_id):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(campaign, "_execute_case", no_case)
+        code, out, err = run_cli(
+            capsys, "campaign", "--digits", "4", "--trials", "600", "--out", str(tmp_path)
+        )
+        assert (code, out, err) == (3, "", f"error: cannot write {tmp_path}: it is a directory\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_bytes_match_at_every_worker_count(self, capsys, tmp_path):
         config = CampaignConfig(digits=5, trials=600, master_seed=9)  # 3 blocks
         want = "".join(record_json_line(r) + "\n" for r in run_campaign(config).records)
@@ -344,6 +358,8 @@ class TestCampaignCommand:
             )
             assert code == 0
             assert out_path.read_bytes() == want.encode()
+        # Each run left its results file and nothing else.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w1.jsonl", "w2.jsonl", "w4.jsonl"]
 
     def test_helper_error_exits_3_like_a_serial_run(self, capsys, monkeypatch, tmp_path):
         # A forked helper inherits the patch; this process runs its blocks as usual.
@@ -365,7 +381,7 @@ class TestCampaignCommand:
         )
         assert (code, out) == (3, "")
         assert err == "error: internal sampling failure: no prime drawn for case 256\n"
-        assert not out_path.exists()
+        assert list(tmp_path.iterdir()) == []  # no results file and no temporary file
         assert multiprocessing.active_children() == []
 
     def test_helper_death_exits_3_without_hanging(self, tmp_path):
@@ -398,7 +414,63 @@ class TestCampaignCommand:
             "error: campaign I/O failure: helper process exited with code 1"
             " before sending case 256\n"
         )
-        assert not out_path.exists()
+        assert list(tmp_path.iterdir()) == []  # no results file and no temporary file
+
+    def test_ctrl_c_exits_130_and_leaves_no_file(self, tmp_path):
+        # SIGINT goes to the campaign's whole process group, as Ctrl-C sends
+        # it, once the helper's first block is in the temporary file.
+        out_path = tmp_path / "r.jsonl"
+        code = (
+            "import sys\n"
+            "from allz import campaign, cli\n"
+            "campaign._usable_cpus = lambda: 2\n"
+            "sys.exit(cli.main(['campaign', '--digits', '8', '--trials', '1000000',"
+            f" '--workers', '2', '--out', {str(out_path)!r}]))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 60
+            while not any(p.read_bytes().count(b"\n") >= 512 for p in tmp_path.iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            # Whatever happened above, leave no process of the campaign behind.
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert (proc.returncode, out, err) == (130, "", "error: campaign interrupted\n")
+        assert list(tmp_path.iterdir()) == []  # no results file and no temporary file
+        with pytest.raises(ProcessLookupError):  # no helper left in the group
+            os.killpg(proc.pid, 0)
+
+    def test_failed_rerun_keeps_the_earlier_results(self, capsys, monkeypatch, tmp_path):
+        out_path = tmp_path / "r.jsonl"
+        argv = ("campaign", "--digits", "7", "--trials", "300", "--out", str(out_path))
+        assert run_cli(capsys, *argv)[0] == 0
+        earlier = out_path.read_bytes()
+        # The rerun fails on its second block, after the first is written.
+        run_block = campaign._run_block
+
+        def failing_after_the_first_block(config, lo):
+            if lo:
+                raise RuntimeError(f"no prime drawn for case {lo}")
+            return run_block(config, lo)
+
+        monkeypatch.setattr(campaign, "_run_block", failing_after_the_first_block)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: internal sampling failure: no prime drawn for case 256\n"
+        assert list(tmp_path.iterdir()) == [out_path]
+        assert out_path.read_bytes() == earlier
 
 
 @pytest.mark.parametrize(

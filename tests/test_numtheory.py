@@ -23,9 +23,9 @@ from allz.numtheory import (
 )
 
 
-def miller_rabin(x):
-    """Textbook Miller-Rabin on the first 12 prime witnesses (exact below 3*10**24)."""
-    witnesses = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+def miller_rabin(x, witnesses=(2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)):
+    """Textbook Miller-Rabin; on the first 12 prime witnesses it is exact
+    below 3*10**23."""
     if x < 2:
         return False
     if x in witnesses:
@@ -90,6 +90,42 @@ class TestIsProbablePrime:
         assert not is_probable_prime((1 << 61) + 1)
         assert not is_probable_prime(3215031751)  # strong pseudoprime to 2,3,5,7
         assert not is_probable_prime(561)  # Carmichael
+
+    # The smallest strong pseudoprime to each smaller deterministic witness
+    # set, with the set and the nearest prime above it. Each set is exact
+    # below its pseudoprime; the first 12 primes are exact past them all.
+    PSEUDOPRIMES = (
+        (2_047, (2,), 2_053),
+        (1_373_653, (2, 3), 1_373_677),
+        (9_080_191, (31, 73), 9_080_213),
+        (25_326_001, (2, 3, 5), 25_326_023),
+        (3_215_031_751, (2, 3, 5, 7), 3_215_031_767),
+        (4_759_123_141, (2, 7, 61), 4_759_123_151),
+        (1_122_004_669_633, (2, 13, 23, 1_662_803), 1_122_004_669_637),
+        (2_152_302_898_747, (2, 3, 5, 7, 11), 2_152_302_898_771),
+        (3_474_749_660_383, (2, 3, 5, 7, 11, 13), 3_474_749_660_401),
+        (341_550_071_728_321, (2, 3, 5, 7, 11, 13, 17), 341_550_071_728_361),
+        (3_825_123_056_546_413_051, (2, 3, 5, 7, 11, 13, 17, 19, 23), 3_825_123_056_546_413_057),
+    )
+
+    @pytest.mark.parametrize("pseudoprime, witnesses, next_prime", PSEUDOPRIMES)
+    def test_pseudoprimes_of_smaller_witness_sets(self, pseudoprime, witnesses, next_prime):
+        assert miller_rabin(pseudoprime, witnesses)  # the smaller set is fooled
+        assert not is_probable_prime(pseudoprime)
+        assert is_probable_prime(next_prime)
+        assert not any(map(is_probable_prime, range(pseudoprime + 1, next_prime)))
+
+    def test_matches_miller_rabin_on_a_seeded_sample(self):
+        # Bit lengths 20 to 64 alike, odd, so that most values get past the
+        # trial division and through Miller-Rabin.
+        rng = random.Random(26)
+        primes = 0
+        for _ in range(20_000):
+            bits = rng.randint(20, 64)
+            x = rng.randrange(max(10**6, 1 << bits - 1), 1 << bits) | 1
+            assert is_probable_prime(x) == miller_rabin(x), x
+            primes += miller_rabin(x)
+        assert 1000 < primes < 19_000  # both answers are well sampled
 
     def test_rejects_values_beyond_witness_range(self):
         with pytest.raises(ValueError):
