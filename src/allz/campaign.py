@@ -60,11 +60,11 @@ MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
 _RETRY_SALT = 0x5DEECE66D
 _SAMPLING_CAP = 1_000_000
-# Primes below this keep their order part, (p, factorize(p - 1)), once made:
-# the primes of every campaign of at most 8 digits. A larger prime's part,
-# cheap from the odd factor table, is made again on each case.
+# Primes below this keep their order parts once made, keyed by (p, squares):
+# the primes of every campaign of at most 8 digits. A larger prime's parts,
+# cheap from the odd factor table, are made again on each case.
 _PART_MEMO_LIMIT = 10_000
-_PRIME_PARTS: dict[int, tuple[int, Factorization]] = {}
+_PRIME_PARTS: dict[tuple[int, bool], tuple[int, Factorization]] = {}
 
 BaseMode = Literal["random", "perfect_square"]
 StrategyName = Literal["traditional", "dong2023", "allz"]
@@ -350,12 +350,29 @@ _RECORD_LINE = "{" + ",".join(_quote(name) + ":%s" for name in _RECORD_FIELDS) +
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
+class _QuotedStrings(dict):
+    """JSON text of a string: made at import for the strings records
+    repeat, and by the encoder's quoting function for any other."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        return _quote(text)
+
+
+_QUOTED = _QuotedStrings(
+    (text, _quote(text))
+    for text in (*BASE_MODES, *STRATEGIES, "success", "failure", "fallback", "shortcut")
+)
+
+
 def record_json_line(record: TrialRecord) -> str:
     """One results-file line of the record, without its line end.
 
     Byte for byte `json.dumps(record.to_json_dict(), separators=(",", ":"))`:
     an int is written by its repr and a string by the encoder's own ASCII
-    quoting function, as `json.dumps` writes them.
+    quoting function, as `json.dumps` writes them; the strings records
+    repeat were quoted by it at import.
     """
     (
         case_id, digits, n, p, q, a, base_mode, seed, strategy, bound, status, factor, r, r_digits,
@@ -363,12 +380,12 @@ def record_json_line(record: TrialRecord) -> str:
         half_power_is_minus_one, attempts_used, resolved, error,
     ) = record
     return _RECORD_LINE % (
-        case_id, digits, n, p, q, a, _quote(base_mode), seed, _quote(strategy),
+        case_id, digits, n, p, q, a, _QUOTED[base_mode], seed, _QUOTED[strategy],
         "null" if bound is None else bound,
-        _quote(status),
+        _QUOTED[status],
         "null" if factor is None else factor,
         r, r_digits, distinct,
-        "null" if z is None else _quote(z) if type(z) is str else z,
+        "null" if z is None else _QUOTED[z] if type(z) is str else z,
         "[" + ",".join(map(str, failed_z)) + "]",
         _LITERALS[fallback_tried], _LITERALS[fallback_succeeded], gcd_count, _LITERALS[r_even],
         _LITERALS[half_power_is_minus_one], attempts_used, _LITERALS[resolved],
@@ -614,7 +631,7 @@ def sample_semiprime(digits: int, rng: RandomStream) -> Semiprime:
     lo, hi = 10 ** (digits - 1), 10**digits
     for p, q in islice(zip(primes, primes), _SAMPLING_CAP):
         if p != q and lo <= p * q < hi:
-            return Semiprime(n=p * q, p=p, q=q)
+            return Semiprime(p * q, p, q)
     raise RuntimeError(f"no {digits}-digit semiprime found within the draw budget")
 
 
@@ -655,24 +672,30 @@ def run_strategy(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _prime_part(p: int) -> tuple[int, Factorization]:
+def _prime_part(p: int, squares: bool = False) -> tuple[int, Factorization]:
     """(p, factorize(p - 1)) for a prime p, the part `order_mod_primes`
     reduces the order mod p from; a composite p raises `ValueError`.
 
+    The square part, for squares only, is (p, factorize((p - 1) // 2)) for
+    an odd p: by Euler's criterion (p - 1) / 2 annihilates every square
+    unit mod p, so the order's first reduction by 2 is skipped. p = 2 keeps
+    p - 1 = 1. A non-residue fails every reduction from the square part,
+    and so the annihilation check, with `ValueError`.
+
     A prime below `_PART_MEMO_LIMIT` is checked and factored once per
-    process and kept; an error is never kept.
+    process for each kind of part, and kept; an error is never kept.
     """
-    part = _PRIME_PARTS.get(p)
+    part = _PRIME_PARTS.get((p, squares))
     if part is None:
         if not is_probable_prime(p):
             raise ValueError(f"{p} is not prime")
-        part = (p, factorize(p - 1))
+        part = (p, factorize((p - 1) // 2 if squares and p > 2 else p - 1))
         if p < _PART_MEMO_LIMIT:
-            _PRIME_PARTS[p] = part
+            _PRIME_PARTS[p, squares] = part
     return part
 
 
-def order_function(sp: Semiprime) -> Callable[[int], PeriodRecord]:
+def order_function(sp: Semiprime, squares: bool = False) -> Callable[[int], PeriodRecord]:
     """The factored order of a unit mod sp.n, as a function of the unit.
 
     The order is reduced mod p and mod q from the factored p - 1 and q - 1
@@ -681,11 +704,16 @@ def order_function(sp: Semiprime) -> Callable[[int], PeriodRecord]:
     which the order mod p*q would not be the lcm of the orders mod p and
     mod q; each prime's check and factoring come from `_prime_part`. The
     returned function looks the oracle up by name on each call.
+
+    With `squares`, the function takes only squares b*b of units, and each
+    order is reduced from the square parts of p and q instead: the same
+    order, for one power fewer per odd prime. A base that is no square mod
+    p or mod q raises `ValueError`.
     """
     p, q = sp.p, sp.q
     if p == q:
         raise ValueError("primes must be distinct")
-    parts = (_prime_part(p), _prime_part(q))
+    parts = (_prime_part(p, squares), _prime_part(q, squares))
     return lambda a: order_mod_primes(a, parts)
 
 
@@ -730,8 +758,9 @@ def run_trial(
     r, r_distinct = (0, 0) if period is None else (period.order, len(period.factors.entries))
     succeeded_z = outcome.succeeded_z
     digits, status, r_digits, r_even, fallback_succeeded = _dependent_fields(n, r, succeeded_z)
-    # The values in field order.
-    return TrialRecord._make(
+    # The values in field order, past `_make`'s length check.
+    return tuple.__new__(
+        TrialRecord,
         (
             case.case_id,
             digits,
@@ -936,13 +965,14 @@ def _build_case(config: CampaignConfig, case_id: int) -> TrialCase:
     rng = RandomStream(seed)
     sp = sample_semiprime(config.digits, rng)
     a = sample_base(sp.n, config.base_mode, rng)
-    return TrialCase(case_id=case_id, semiprime=sp, a=a, base_mode=config.base_mode, seed=seed)
+    return TrialCase(case_id, sp, a, config.base_mode, seed)
 
 
 def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
     case = _build_case(config, case_id)
-    # Every attempt on the case shares its modulus, and so its order function.
-    order = order_function(case.semiprime)
+    # Every attempt on the case shares its modulus, and so its order function;
+    # in perfect-square mode `sample_base` draws only squares b*b.
+    order = order_function(case.semiprime, squares=config.base_mode == "perfect_square")
     record = run_trial(case, config.strategy, config.bound, order)
     if record.status == "success" or record.error is not None or config.retry_limit == 0:
         return record
@@ -968,8 +998,8 @@ def _execute_case(config: CampaignConfig, case_id: int) -> TrialRecord:
             resolved = True
             break
     # The first attempt's record, with the case's attempts_used and resolved.
-    return TrialRecord._make(
-        record[:_ATTEMPTS_USED_INDEX] + (attempts_used, resolved, record.error)
+    return tuple.__new__(
+        TrialRecord, record[:_ATTEMPTS_USED_INDEX] + (attempts_used, resolved, record.error)
     )
 
 

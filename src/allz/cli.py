@@ -18,8 +18,9 @@ import json
 import math
 import operator
 import os
+import stat
 import sys
-from typing import Any, Iterable, Sequence
+from typing import Any, BinaryIO, Iterable, Sequence
 
 from .campaign import (
     BASE_MODES,
@@ -268,6 +269,35 @@ def _campaign_failed(partial: str | None, message: str, code: int = EXIT_IO_ERRO
     return code
 
 
+# Temporary names `_open_results` tries before it gives up.
+_TEMP_NAME_TRIES = 100
+
+
+def _open_results(target: str) -> tuple[BinaryIO, str | None]:
+    """The open file a campaign writes the results path `target` through,
+    links already resolved, and its path when it is a temporary file.
+
+    A regular or new `target` gets a temporary file beside it,
+    `target.<pid>.tmp`, or `target.<pid>.<k>.tmp` past a stale file of
+    that name, which is left as it is. Any other existing path, a FIFO or a
+    device, is written straight into, with no temporary file (None).
+    """
+    try:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        mode = stat.S_IFREG  # a new results file
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError("it is a directory")
+    if not stat.S_ISREG(mode):
+        return open(target, "wb"), None
+    stem = f"{target}.{os.getpid()}"
+    for k in range(_TEMP_NAME_TRIES):
+        partial = f"{stem}.{k}.tmp" if k else f"{stem}.tmp"
+        with contextlib.suppress(FileExistsError):
+            return open(partial, "xb"), partial
+    raise FileExistsError(f"{stem}.tmp and {_TEMP_NAME_TRIES - 1} more temporary names exist")
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     try:
         config = _load_campaign_config(args)
@@ -276,15 +306,14 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         print(f"error: invalid campaign configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     # The blocks go to a temporary file beside the results file, renamed over
-    # it after the last block, so a results file is whole or absent. It is
-    # opened before the first case runs, so an unwritable path costs nothing.
+    # it after the last block, so a results file is whole or absent; a FIFO
+    # or a device is written straight into. The file is opened before the
+    # first case runs, so an unwritable path costs nothing.
     partial = handle = None
     try:
         if args.out:
-            if os.path.isdir(args.out):
-                raise IsADirectoryError("it is a directory")
-            partial = f"{args.out}.{os.getpid()}.tmp"
-            handle = open(partial, "xb")
+            target = os.path.realpath(args.out)
+            handle, partial = _open_results(target)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
@@ -297,7 +326,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     handle.write(chunk)
                 stats = merge_stats(stats, block_stats)
         if partial:
-            os.replace(partial, args.out)
+            # A rerun keeps the permission bits of the file it replaces.
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(partial, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(partial, target)
     except RuntimeError as exc:
         return _campaign_failed(partial, f"internal sampling failure: {exc}")
     except OSError as exc:

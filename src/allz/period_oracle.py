@@ -111,7 +111,7 @@ def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> Peri
         if r == hint.value and pow(b, r, m) != 1:
             raise ValueError("exponent hint does not annihilate the base")
         order = math.lcm(order, r)
-    return PeriodRecord(order=order, factors=Factorization(_lcm_entries(entries)))
+    return PeriodRecord(order, Factorization(_lcm_entries(entries)))
 
 
 def _lcm_entries(entries: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

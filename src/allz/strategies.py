@@ -118,7 +118,7 @@ def _classify(kind: AttemptKind, z: int | None, g: int, n: int) -> AttemptResult
         outcome = TRIVIAL_ONE
     else:
         outcome = FACTOR_FOUND
-    return AttemptResult(kind=kind, divisor_z=z, gcd_value=g, outcome=outcome)
+    return AttemptResult(kind, z, g, outcome)
 
 
 def _power_minus_one_gcd(n: int, base: int, exponent: int) -> int:

@@ -440,6 +440,10 @@ class TestRunTrial:
         assert failure_reason(record) == "all_divisors_trivial"
 
 
+def _is_square_mod(a, p):
+    return any(b * b % p == a % p for b in range(1, p))
+
+
 class TestOrderByPrimes:
     """The campaign's order, found mod p and mod q, equals the direct one."""
 
@@ -460,6 +464,9 @@ class TestOrderByPrimes:
             assert (record.r, record.r_distinct_primes) == (direct.order, len(direct.factors.entries))
             # The order reduced mod n gives the same record, half-power field included.
             assert run_trial(case, "allz", order=lambda _: direct) == record
+            # The campaign's own order function, square parts for square bases.
+            squares = base_mode == "perfect_square"
+            assert campaign.order_function(sp, squares=squares)(a) == direct
             h = record.r // 2
             assert record.half_power_is_minus_one == (
                 pow(a, h, sp.n) == sp.n - 1 if record.r_even else None
@@ -531,8 +538,55 @@ class TestOrderByPrimes:
         assert len(primes) == 1229
         for p in primes:
             assert campaign._prime_part(p) == (p, factorize(p - 1))
-        assert list(campaign._PRIME_PARTS) == primes
-        assert all(campaign._prime_part(p) is campaign._PRIME_PARTS[p] for p in primes)
+        assert list(campaign._PRIME_PARTS) == [(p, False) for p in primes]
+        assert all(campaign._prime_part(p) is campaign._PRIME_PARTS[p, False] for p in primes)
+
+    def test_square_and_full_parts_are_kept_apart(self, monkeypatch):
+        monkeypatch.setattr(campaign, "_PRIME_PARTS", {})
+        primes = [p for p in campaign._SMALL_PRIMES if p < 10**4]
+        for p in primes:
+            full = campaign._prime_part(p)
+            square = campaign._prime_part(p, squares=True)
+            # p = 2 keeps its p - 1 = 1: (p - 1) // 2 = 0 has no factorization.
+            assert square == (p, factorize((p - 1) // 2 if p > 2 else 1))
+            assert campaign._PRIME_PARTS[p, False] is full
+            assert campaign._PRIME_PARTS[p, True] is square
+            assert campaign._prime_part(p) is full
+            assert campaign._prime_part(p, squares=True) is square
+        assert len(campaign._PRIME_PARTS) == 2 * 1229
+        # Past the memo limit neither kind is kept.
+        assert campaign._prime_part(10007, squares=True) == (10007, factorize(5003))
+        assert campaign._prime_part(10007) == (10007, factorize(10006))
+        assert len(campaign._PRIME_PARTS) == 2 * 1229
+
+    def test_square_parts_give_every_unit_square_its_order(self):
+        # Every unit square mod every semiprime below 2000, p = 2 included.
+        checked = 0
+        for n, p, q in semiprimes_below(2000):
+            sp = Semiprime(n, p, q)
+            full, square = campaign.order_function(sp), campaign.order_function(sp, squares=True)
+            for a in {b * b % n for b in range(1, n) if math.gcd(b, n) == 1}:
+                assert square(a) == full(a), (a, n)
+                checked += 1
+        assert checked > 100_000
+
+    def test_square_parts_refuse_every_quadratic_non_residue(self):
+        for p in campaign._SMALL_PRIMES[1:]:
+            if p > 2000:
+                break
+            part = campaign._prime_part(p, squares=True)
+            residues = {b * b % p for b in range(1, p)}
+            for a in range(1, p):
+                if a not in residues:
+                    with pytest.raises(ValueError, match="does not annihilate"):
+                        order_mod_primes(a, (part,))
+        # A unit of a semiprime that is no square mod p or no square mod q.
+        for n, p, q in semiprimes_below(300):
+            square = campaign.order_function(Semiprime(n, p, q), squares=True)
+            for a in range(1, n):
+                if math.gcd(a, n) == 1 and not (_is_square_mod(a, p) and _is_square_mod(a, q)):
+                    with pytest.raises(ValueError, match="does not annihilate"):
+                        square(a)
 
     def test_prime_part_errors_are_not_kept(self, monkeypatch):
         monkeypatch.setattr(campaign, "_PRIME_PARTS", {})
@@ -543,18 +597,21 @@ class TestOrderByPrimes:
             with pytest.raises(ValueError) as expected:
                 carmichael_exponent(p, q)
             sp = tuple.__new__(Semiprime, (p * q, p, q))  # past Semiprime's own check
-            for _ in range(2):
+            for squares in (False, True, False, True):
                 with pytest.raises(ValueError) as raised:
-                    campaign.order_function(sp)
+                    campaign.order_function(sp, squares=squares)
                 assert str(raised.value) == str(expected.value)
-        assert list(campaign._PRIME_PARTS) == [7]
+        assert list(campaign._PRIME_PARTS) == [(7, False), (7, True)]
 
     def test_campaign_keeps_no_prime_part_above_ten_thousand(self, monkeypatch):
         monkeypatch.setattr(campaign, "_PRIME_PARTS", {})
         run_campaign(CampaignConfig(digits=12, trials=50, retry_limit=2))
+        run_campaign(CampaignConfig(digits=12, trials=50, base_mode="perfect_square", retry_limit=2))
         assert campaign._PRIME_PARTS == {}
         run_campaign(CampaignConfig(digits=8, trials=50))
-        assert campaign._PRIME_PARTS and max(campaign._PRIME_PARTS) < 10**4
+        run_campaign(CampaignConfig(digits=8, trials=50, base_mode="perfect_square"))
+        assert {squares for _, squares in campaign._PRIME_PARTS} == {False, True}
+        assert max(p for p, _ in campaign._PRIME_PARTS) < 10**4
 
 
 class TestCampaign:

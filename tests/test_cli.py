@@ -6,6 +6,7 @@ import json
 import multiprocessing
 import os
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -471,6 +472,80 @@ class TestCampaignCommand:
         assert err == "error: internal sampling failure: no prime drawn for case 256\n"
         assert list(tmp_path.iterdir()) == [out_path]
         assert out_path.read_bytes() == earlier
+
+    SMALL = ("campaign", "--digits", "4", "--trials", "3")
+
+    def small_campaign_bytes(self, capsys, tmp_path):
+        direct = tmp_path / "direct.jsonl"
+        assert run_cli(capsys, *self.SMALL, "--out", str(direct))[0] == 0
+        return direct.read_bytes()
+
+    def test_out_through_a_symlink_replaces_its_target(self, capsys, tmp_path):
+        expected = self.small_campaign_bytes(capsys, tmp_path)
+        target, new_target = tmp_path / "target.jsonl", tmp_path / "new.jsonl"
+        target.write_bytes(b"older results\n")
+        link, dangling = tmp_path / "link.jsonl", tmp_path / "dangling.jsonl"
+        link.symlink_to(target)
+        dangling.symlink_to(new_target)
+        for path in (link, dangling):
+            assert run_cli(capsys, *self.SMALL, "--out", str(path))[0] == 0
+            assert path.is_symlink() and path.read_bytes() == expected
+        assert target.read_bytes() == new_target.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dangling.jsonl", "direct.jsonl", "link.jsonl", "new.jsonl", "target.jsonl"
+        ]
+
+    def test_out_through_a_symlink_to_a_device_writes_into_it(self, capsys, tmp_path):
+        link = tmp_path / "link.jsonl"
+        link.symlink_to(os.devnull)
+        assert run_cli(capsys, *self.SMALL, "--out", str(link))[0] == 0
+        assert link.is_symlink() and os.readlink(link) == os.devnull
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+        assert list(tmp_path.iterdir()) == [link]
+
+    def test_out_to_a_fifo_writes_into_it(self, capsys, tmp_path):
+        expected = self.small_campaign_bytes(capsys, tmp_path)
+        fifo = tmp_path / "fifo.jsonl"
+        os.mkfifo(fifo)
+        # Open first and without blocking, so the campaign's open finds a
+        # reader, and so a campaign that never opens the FIFO cannot hang this.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert run_cli(capsys, *self.SMALL, "--out", str(fifo))[0] == 0
+            received = b""
+            while chunk := os.read(reader, 1 << 16):
+                received += chunk
+        finally:
+            os.close(reader)
+        assert received == expected
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["direct.jsonl", "fifo.jsonl"]
+
+    def test_stale_temporary_file_is_passed_by(self, capsys, tmp_path):
+        expected = self.small_campaign_bytes(capsys, tmp_path)
+        out_path = tmp_path / "out.jsonl"
+        # What a run killed outright, whose PID this process now has, left behind.
+        stale = tmp_path / f"out.jsonl.{os.getpid()}.tmp"
+        stale.write_bytes(b"stale\n")
+        code, _, err = run_cli(capsys, *self.SMALL, "--out", str(out_path))
+        assert (code, err) == (0, "")
+        assert out_path.read_bytes() == expected
+        assert stale.read_bytes() == b"stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "direct.jsonl", "out.jsonl", stale.name
+        ]
+
+    def test_rerun_keeps_the_results_file_mode(self, capsys, tmp_path):
+        out_path, plain = tmp_path / "r.jsonl", tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert run_cli(capsys, *self.SMALL, "--out", str(out_path))[0] == 0
+        # A new results file gets the mode a plain open gives.
+        assert stat.S_IMODE(out_path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+        for mode in (0o600, 0o640, 0o444):
+            out_path.chmod(mode)
+            assert run_cli(capsys, *self.SMALL, "--out", str(out_path))[0] == 0
+            assert stat.S_IMODE(out_path.stat().st_mode) == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain", "r.jsonl"]
 
 
 @pytest.mark.parametrize(
