@@ -311,7 +311,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     # first case runs, so an unwritable path costs nothing.
     partial = handle = None
     try:
-        if args.out:
+        if args.out is not None:
             target = os.path.realpath(args.out)
             handle, partial = _open_results(target)
     except OSError as exc:
@@ -494,7 +494,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
                     f"    digits={digits} {strategy}: "
                     f"{_rate(cell['successes'], cell['trials'])}"
                 )
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 if args.format == "csv":

@@ -92,10 +92,12 @@ def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> Peri
     failed check raises `ValueError` on that part. By the CRT the order
     mod the product is the lcm of these orders, so each prime of the order
     keeps its largest valuation over the parts: the reduced entries of
-    every part go into one list, merged once at the end. One factorization
-    and one record are built, both validated.
+    every part go into one list, merged once at the end. The one
+    factorization built from them is validated, and its value is the
+    order, so the record is built from it by position: its own check
+    could not fail.
     """
-    order, entries = 1, []
+    entries = []
     for m, hint in parts:
         b = a % m
         if b == 0:
@@ -110,8 +112,8 @@ def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> Peri
         # Unless r is still the hint, a reduction showed b**r = 1 with r | hint.
         if r == hint.value and pow(b, r, m) != 1:
             raise ValueError("exponent hint does not annihilate the base")
-        order = math.lcm(order, r)
-    return PeriodRecord(order, Factorization(_lcm_entries(entries)))
+    factors = Factorization(_lcm_entries(entries))
+    return tuple.__new__(PeriodRecord, (factors.value, factors))
 
 
 def _lcm_entries(entries: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:

@@ -11,8 +11,8 @@ Three variants share one attempt vocabulary:
   those up to a bound) and then the square fallback.
 
 Every gcd of the form gcd(a**k - 1, n) is evaluated as
-gcd((a**k mod n) + n - 1 mod n, n), which is equal by gcd periodicity and
-never materializes a large power.
+gcd((a**k mod n) - 1, n), which is equal by gcd periodicity and never
+materializes a large power.
 """
 
 from __future__ import annotations
@@ -111,27 +111,23 @@ class FactorOutcome(
         return "failure" if self.factor is None else "success"
 
 
-def _classify(kind: AttemptKind, z: int | None, g: int, n: int) -> AttemptResult:
-    if g == n:
-        outcome = TRIVIAL_N
-    elif g <= 1:
-        outcome = TRIVIAL_ONE
-    else:
-        outcome = FACTOR_FOUND
-    return AttemptResult(kind, z, g, outcome)
+def _attempt(kind: AttemptKind, z: int | None, t: int, n: int) -> AttemptResult:
+    """The attempt whose power a**k mod n is t: gcd(t - 1, n), classified.
 
-
-def _power_minus_one_gcd(n: int, base: int, exponent: int) -> int:
-    t = pow(base, exponent, n)
-    return math.gcd((t + n - 1) % n, n)
+    Every gcd attempt is built here, by position, past the named tuple's
+    own constructor; the callers take the power, so a walk pays one call
+    per attempt.
+    """
+    g = math.gcd(t - 1, n)
+    outcome = TRIVIAL_N if g == n else TRIVIAL_ONE if g == 1 else FACTOR_FOUND
+    return tuple.__new__(AttemptResult, (kind, z, g, outcome))
 
 
 def attempt_divisor(n: int, a: int, r: int, z: int) -> AttemptResult:
     """Try the divisor z of r: gcd(a**(r/z) - 1, n), classified."""
     if r % z:
         raise ValueError(f"{z} does not divide the order {r}")
-    g = _power_minus_one_gcd(n, a, r // z)
-    return _classify("divisor", z, g, n)
+    return _attempt("divisor", z, pow(a, r // z, n), n)
 
 
 def fallback_square(n: int, b: int, r: int) -> AttemptResult:
@@ -140,8 +136,7 @@ def fallback_square(n: int, b: int, r: int) -> AttemptResult:
         raise ValueError(f"square root {b} shares a factor with {n}")
     if r < 1:
         raise ValueError("order must be >= 1")
-    g = _power_minus_one_gcd(n, b, r)
-    return _classify("fallback", None, g, n)
+    return _attempt("fallback", None, pow(b, r, n), n)
 
 
 def _shortcut_or_period(
@@ -158,23 +153,31 @@ def _shortcut_or_period(
         raise ValueError(f"base must satisfy 2 <= a < n, got a={a}, n={n}")
     g = math.gcd(a, n)
     if g > 1:
-        return FactorOutcome((_classify("gcd_shortcut", None, g, n),)), None
+        # 2 <= a < n, so 1 < g < n: the probe's gcd is always a factor.
+        return FactorOutcome((AttemptResult("gcd_shortcut", None, g, FACTOR_FOUND),)), None
     if period is None:
         raise ValueError("a period record is required when gcd(a, n) == 1")
     return None, period
 
 
-def _divisors_then_square(n: int, a: int, r: int, divisors: Iterable[int]) -> FactorOutcome:
-    """Try each divisor z of r in turn, stopping at the first factor; if
-    none is found and a is a perfect square b*b, try gcd(b**r - 1, n) last."""
+def _divisors_then_square(
+    n: int, a: int, r: int, entries: Iterable[tuple[int, int]], bound: int
+) -> FactorOutcome:
+    """Walk the ascending (prime, multiplicity) entries of r's factorization
+    up to the prime `bound`, trying each prime z as a divisor and stopping
+    at the first factor; if none is found and a is a perfect square b*b,
+    try gcd(b**r - 1, n) last. Each z divides r, so no attempt checks it."""
     attempts: list[AttemptResult] = []
-    for z in divisors:
-        attempts.append(attempt_divisor(n, a, r, z))
-        if attempts[-1].outcome == FACTOR_FOUND:
+    for z, _ in entries:
+        if z > bound:
+            break
+        attempts.append(attempt := _attempt("divisor", z, pow(a, r // z, n), n))
+        if attempt.outcome == FACTOR_FOUND:
             return FactorOutcome(tuple(attempts))
     b = perfect_square_root(a)
     if b is not None:
-        attempts.append(fallback_square(n, b, r))
+        # b is a unit with a, and r >= 1: fallback_square's checks hold.
+        attempts.append(_attempt("fallback", None, pow(b, r, n), n))
     return FactorOutcome(tuple(attempts))
 
 
@@ -194,13 +197,12 @@ def all_z(
     shortcut, period = _shortcut_or_period(n, a, period)
     if shortcut is not None:
         return shortcut
+    r = period.order
     if bound is None:
-        primes = period.factors.distinct_primes
+        bound = r  # every prime of r is at most r
     elif bound < 2:
         raise ValueError(f"bound must be >= 2, got {bound}")
-    else:
-        primes = [z for z, _ in period.factors.entries if z <= bound]
-    return _divisors_then_square(n, a, period.order, primes)
+    return _divisors_then_square(n, a, r, period.factors.entries, bound)
 
 
 def traditional_shor(n: int, a: int, period: PeriodRecord | None) -> FactorOutcome:
@@ -217,7 +219,7 @@ def traditional_shor(n: int, a: int, period: PeriodRecord | None) -> FactorOutco
     r = period.order
     if r % 2 or (t := pow(a, r // 2, n)) == n - 1:
         return FactorOutcome(())
-    return FactorOutcome((_classify("divisor", 2, math.gcd(t - 1, n), n),))
+    return FactorOutcome((_attempt("divisor", 2, t, n),))
 
 
 def dong2023(n: int, a: int, period: PeriodRecord | None) -> FactorOutcome:
@@ -228,5 +230,5 @@ def dong2023(n: int, a: int, period: PeriodRecord | None) -> FactorOutcome:
     base = traditional_shor(n, a, period)
     if base.status == "success":
         return base
-    r = period.order
-    return _divisors_then_square(n, a, r, (3,) if r % 3 == 0 else ())
+    threes = [entry for entry in period.factors.entries if entry[0] == 3]
+    return _divisors_then_square(n, a, period.order, threes, 3)

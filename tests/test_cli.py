@@ -347,6 +347,19 @@ class TestCampaignCommand:
         assert (code, out, err) == (3, "", f"error: cannot write {tmp_path}: it is a directory\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_empty_output_path_fails_before_any_case(self, capsys, monkeypatch, tmp_path):
+        # An empty --out names no file; it is not taken as no --out at all.
+        def no_case(config, case_id):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setattr(campaign, "_execute_case", no_case)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "campaign", "--digits", "4", "--trials", "3", "--out", "")
+        assert (code, out, err) == (3, "", "error: cannot write : it is a directory\n")
+        assert list(tmp_path.iterdir()) == []
+        # Nor a temporary file beside the working directory.
+        assert list(tmp_path.parent.glob(f"{tmp_path.name}.*")) == []
+
     def test_output_bytes_match_at_every_worker_count(self, capsys, tmp_path):
         config = CampaignConfig(digits=5, trials=600, master_seed=9)  # 3 blocks
         want = "".join(record_json_line(r) + "\n" for r in run_campaign(config).records)
@@ -759,6 +772,20 @@ class TestReportCommand:
         assert code == 0
         assert out_whole.read_bytes() == out_parts.read_bytes()
         assert stdout_whole.replace("2 records", "x") != ""  # summaries printed
+
+    def test_empty_output_path_exits_3_after_the_summary(
+        self, capsys, monkeypatch, tmp_path, sample_records
+    ):
+        src = tmp_path / "r.jsonl"
+        write_jsonl(src, sample_records)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        code, out, err = run_cli(capsys, "report", "--in", str(src), "--out", "")
+        assert code == 3
+        assert out.startswith(f"report over {len(sample_records)} records\n")
+        assert err == "error: cannot write : [Errno 2] No such file or directory: ''\n"
+        assert list(work.iterdir()) == []
 
     def test_json_report_contents(self, capsys, tmp_path, sample_records):
         src = tmp_path / "r.jsonl"

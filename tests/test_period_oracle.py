@@ -302,6 +302,43 @@ class TestReductionProvesAnnihilation:
         assert exponents.count(1008) == 1
 
 
+# Full parts: a modulus with an exponent that annihilates every unit mod
+# it. Square parts: one that annihilates every square unit, (p - 1) / 2 for
+# an odd prime p, half of phi(p**e) for an odd prime power, half of the
+# universal exponent for 91 = 7 * 13.
+FULL_PARTS = (
+    (2, factorize(1)), (7, factorize(6)), (1009, factorize(1008)),
+    (25, factorize(20)), (7**3, factorize(294)), (91, factorize(12)),
+)
+SQUARE_PARTS = (
+    (2, factorize(1)), (7, factorize(3)), (1009, factorize(504)),
+    (25, factorize(10)), (7**3, factorize(147)), (91, factorize(6)),
+)
+
+
+class TestOrderRecordBuild:
+    def test_record_is_the_validated_lcm_of_the_orders(self):
+        for table, squares in ((FULL_PARTS, False), (SQUARE_PARTS, True)):
+            combos = [(part,) for part in table] + [
+                (first, second)
+                for i, first in enumerate(table)
+                for second in table[i + 1 :]
+                if math.gcd(first[0], second[0]) == 1
+            ]
+            for parts in combos:
+                span = math.prod(m for m, _ in parts)
+                units = [x for x in range(1, min(span, 60)) if math.gcd(x, span) == 1]
+                # 1 and span + 1 have order 1 mod every part.
+                bases = [x * x if squares else x for x in units] + [span + 1]
+                for a in bases:
+                    result = order_mod_primes(a, parts)
+                    expected = math.lcm(*(order_brute_force(a % m, m) for m, _ in parts))
+                    assert type(result) is PeriodRecord
+                    assert result.order == result.factors.value == expected, (a, parts)
+                    assert result == PeriodRecord(result.order, result.factors)
+                assert order_mod_primes(1, parts) == PeriodRecord(1, Factorization(()))
+
+
 class TestPeriodRecord:
     def test_complete_record_checks_reconstruction(self):
         # Checked however one is built: directly, by _make or by _replace.

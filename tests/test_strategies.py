@@ -4,9 +4,12 @@ import math
 
 import pytest
 from conftest import semiprimes_below
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from allz import strategies
 from allz.campaign import STRATEGIES, RandomStream, run_strategy
-from allz.numtheory import factorize
+from allz.numtheory import factorize, perfect_square_root
 from allz.period_oracle import multiplicative_order
 from allz.strategies import (
     AttemptResult,
@@ -360,3 +363,131 @@ class TestOutcomeSummary:
                 assert out.attempts == log and summary_of(out) == reference_summary(log)
         assert FactorOutcome(repeated).failed_z == (3, 2)
         assert FactorOutcome(repeated).succeeded_z == "fallback"
+
+
+def reference_attempt(kind, z, base, exponent, n):
+    """One gcd attempt as the strategies first took it: the power's gcd
+    through (t + n - 1) mod n, classified apart from it."""
+    g = math.gcd((pow(base, exponent, n) + n - 1) % n, n)
+    outcome = "trivial_n" if g == n else "trivial_one" if g <= 1 else "factor_found"
+    return AttemptResult(kind, z, g, outcome)
+
+
+def reference_walk(n, a, r, divisors):
+    """The divisor walk composed of the public single attempts: each
+    divisor through attempt_divisor, the square fallback through
+    fallback_square."""
+    attempts = []
+    for z in divisors:
+        attempts.append(attempt_divisor(n, a, r, z))
+        if attempts[-1].outcome == "factor_found":
+            return FactorOutcome(tuple(attempts))
+    b = perfect_square_root(a)
+    if b is not None:
+        attempts.append(fallback_square(n, b, r))
+    return FactorOutcome(tuple(attempts))
+
+
+def reference_strategy(strategy, n, a, period, bound):
+    """run_strategy over reference_walk, with each check written out."""
+    if n < 4:
+        raise ValueError(f"modulus must be a composite >= 4, got {n}")
+    if not 2 <= a < n:
+        raise ValueError(f"base must satisfy 2 <= a < n, got a={a}, n={n}")
+    g = math.gcd(a, n)
+    if g > 1:
+        return FactorOutcome((AttemptResult("gcd_shortcut", None, g, "factor_found"),))
+    if period is None:
+        raise ValueError("a period record is required when gcd(a, n) == 1")
+    r = period.order
+    if strategy == "allz":
+        if bound is not None and bound < 2:
+            raise ValueError(f"bound must be >= 2, got {bound}")
+        primes = [z for z, _ in period.factors.entries if bound is None or z <= bound]
+        return reference_walk(n, a, r, primes)
+    base = FactorOutcome(())
+    if r % 2 == 0 and pow(a, r // 2, n) != n - 1:
+        base = FactorOutcome((attempt_divisor(n, a, r, 2),))
+    if strategy == "traditional" or base.status == "success":
+        return base
+    return reference_walk(n, a, r, (3,) if r % 3 == 0 else ())
+
+
+def outcome_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+DIFFERENTIAL_SEMIPRIMES = semiprimes_below(3000)
+BOUNDS = (None, 2, 3, 9, 9999)
+
+
+class TestOneCallAttempt:
+    """The strategies against the composition of the public single attempts."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_matches_the_composed_reference(self, data):
+        n, p, q = data.draw(st.sampled_from(DIFFERENTIAL_SEMIPRIMES))
+        kind = data.draw(st.sampled_from(("random", "square", "non-unit")))
+        if kind == "random":
+            a = data.draw(st.integers(min_value=2, max_value=n - 1))
+        elif kind == "square":
+            a = data.draw(st.integers(min_value=2, max_value=math.isqrt(n - 1))) ** 2
+        else:
+            a = p * data.draw(st.integers(min_value=1, max_value=q - 1))
+        period = multiplicative_order(a, n) if math.gcd(a, n) == 1 else None
+        for strategy in STRATEGIES:
+            for bound in BOUNDS:
+                expected = reference_strategy(strategy, n, a, period, bound)
+                assert run_strategy(strategy, n, a, period, bound) == expected
+        if period is not None:
+            r = period.order
+            for z, _ in period.factors.entries:
+                assert attempt_divisor(n, a, r, z) == reference_attempt("divisor", z, a, r // z, n)
+            b = math.isqrt(a)
+            if b * b == a:
+                assert fallback_square(n, b, r) == reference_attempt("fallback", None, b, r, n)
+
+    def test_invalid_inputs_give_the_reference_messages(self):
+        period = period_of(2, 21)
+        cases = [
+            (3, 2, period, None),
+            (21, 1, period, None),
+            (21, 21, period, None),
+            (21, 2, None, None),
+            (21, 2, period, 1),
+            (21, 2, period, -5),
+            (15, 5, None, 1),  # the shortcut comes before the bound is read
+        ]
+        for strategy in STRATEGIES:
+            for n, a, record, bound in cases:
+                expected = outcome_or_error(reference_strategy, strategy, n, a, record, bound)
+                got = outcome_or_error(run_strategy, strategy, n, a, record, bound)
+                assert got == expected, (strategy, n, a, bound)
+        assert outcome_or_error(attempt_divisor, 21, 2, 6, 5) == "5 does not divide the order 6"
+        assert outcome_or_error(fallback_square, 21, 7, 3) == "square root 7 shares a factor with 21"
+        assert outcome_or_error(fallback_square, 21, 2, 0) == "order must be >= 1"
+
+    def test_one_pow_per_divisor_tried_and_one_for_the_fallback(self, monkeypatch):
+        exponents = []
+
+        def counted_pow(base, exponent, modulus):
+            exponents.append(exponent)
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(strategies, "pow", counted_pow, raising=False)
+        shapes = set()
+        for n, p, q in semiprimes_below(2000)[::9]:
+            for a in [*range(2, n, 17), *(b * b for b in range(2, math.isqrt(n - 1) + 1))]:
+                period = multiplicative_order(a, n) if math.gcd(a, n) == 1 else None
+                for bound in BOUNDS:
+                    exponents.clear()
+                    out = all_z(n, a, period, bound)
+                    tried = [att.kind for att in out.attempts if att.kind != "gcd_shortcut"]
+                    assert len(exponents) == len(tried), (n, a, bound)
+                    shapes.add(tuple(tried))
+        assert {(), ("divisor",), ("divisor", "divisor"), ("fallback",)} <= shapes
+        assert ("divisor", "fallback") in shapes
