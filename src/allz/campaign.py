@@ -279,10 +279,10 @@ class TrialRecord(NamedTuple):
             raise ValueError("record bound is below 2")
         if n != p * q or r < 0:
             raise ValueError("record n is not p * q, or r is negative")
-        if _dependent_fields(n, r, z) != (digits, status, r_digits, r_even, fallback_succeeded):
+        if _dependent_fields(n, r, z) != (
+            digits, status, r_digits, r_even, fallback_succeeded, half_power_is_minus_one
+        ):
             raise ValueError("record fields disagree with their n, r and succeeded_z")
-        if (half_power_is_minus_one is None) == r_even:
-            raise ValueError("record half_power_is_minus_one is null exactly when r is not even")
         # k distinct primes of r > 1 make r at least the product of the first
         # k primes, and so k <= r.bit_length(); checking that first keeps the
         # product small.
@@ -557,15 +557,28 @@ def _digit_count(x: int) -> int:
     return len(str(x))
 
 
-def _dependent_fields(n: int, r: int, z: int | str | None) -> tuple[int, str, int, bool, bool]:
-    """digits, status, r_digits, r_even and fallback_succeeded of a record with
-    this n, order r (0 when none was found) and succeeded_z (null on failure)."""
+def _dependent_fields(
+    n: int, r: int, z: int | str | None
+) -> tuple[int, str, int, bool, bool, bool | None]:
+    """digits, status, r_digits, r_even, fallback_succeeded and
+    half_power_is_minus_one of a record with this n, order r (0 when none
+    was found) and succeeded_z (null on failure).
+
+    The flag needs r to be the exact order of the unit a. Then t = a**(r/2)
+    has t * t == 1 and t != 1 mod n = p * q, and every strategy tries z = 2
+    first on an even r. On an odd n, t == -1 exactly when gcd(t - 1, n) = 1;
+    otherwise t == 1 mod exactly one of p and q, and the z = 2 attempt finds
+    that prime. On an even n = 2 * q, t == -1 always. So t == -1 exactly when
+    n is even or the case did not succeed at z = 2.
+    """
+    r_even = r > 0 and r % 2 == 0
     return (
         _digit_count(n),
         "failure" if z is None else "success",
         _digit_count(r) if r else 0,
-        r > 0 and r % 2 == 0,
+        r_even,
         z == "fallback",
+        (n % 2 == 0 or z != 2) if r_even else None,
     )
 
 
@@ -717,16 +730,6 @@ def order_function(sp: Semiprime, squares: bool = False) -> Callable[[int], Peri
     return lambda a: order_mod_primes(a, parts)
 
 
-def _half_power_is_minus_one(a: int, h: int, p: int, q: int) -> bool:
-    """Whether a**h == -1 mod p*q, for a unit a and distinct primes p and q.
-
-    By the CRT, exactly when a**h == -1 mod p and mod q: two powers to a
-    prime modulus cost less than one to p*q. Each exponent is reduced mod
-    p - 1 (or q - 1), which by Fermat leaves a unit's power unchanged.
-    """
-    return pow(a, h % (p - 1), p) == p - 1 and pow(a, h % (q - 1), q) == q - 1
-
-
 def run_trial(
     case: TrialCase,
     strategy: StrategyName,
@@ -742,6 +745,10 @@ def run_trial(
     No order is found for a base outside [2, n - 1] or for a non-unit,
     which the order mod p and mod q would take mod each prime, so the
     strategy's own check names the fault.
+
+    `half_power_is_minus_one` is read off the outcome, with no power taken,
+    by an identity (`_dependent_fields`) that needs `order` to give the
+    exact order, as `order_function` does.
     """
     sp = case.semiprime
     n, a = sp.n, case.a
@@ -757,7 +764,9 @@ def run_trial(
 
     r, r_distinct = (0, 0) if period is None else (period.order, len(period.factors.entries))
     succeeded_z = outcome.succeeded_z
-    digits, status, r_digits, r_even, fallback_succeeded = _dependent_fields(n, r, succeeded_z)
+    digits, status, r_digits, r_even, fallback_succeeded, half_power = _dependent_fields(
+        n, r, succeeded_z
+    )
     # The values in field order, past `_make`'s length check.
     return tuple.__new__(
         TrialRecord,
@@ -784,7 +793,7 @@ def run_trial(
             # gcd_count: a poisoned record counts no gcd, not even the gcd(a, n) probe.
             0 if error is not None else outcome.gcd_count,
             r_even,
-            _half_power_is_minus_one(a, r // 2, sp.p, sp.q) if r_even else None,
+            half_power,
             1,  # attempts_used
             status == "success",  # resolved
             error,

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import math
 import operator
@@ -312,6 +313,10 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     partial = handle = None
     try:
         if args.out is not None:
+            if not args.out:
+                # No file has the empty name; `realpath` would turn it into
+                # the working directory. The error is the one `open` raises.
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
             target = os.path.realpath(args.out)
             handle, partial = _open_results(target)
     except OSError as exc:

@@ -61,9 +61,11 @@ class FactorOutcome(
 
     `attempts` logs everything tried in order; on success it ends with the
     witnessing attempt, on failure every entry is trivial. The other values
-    are read off the log in one pass whenever an outcome is built, from the
-    log alone, so none can disagree with it: `FactorOutcome(attempts)`,
-    `_make` and `_replace` all derive them again, and ignore any given.
+    are read off the log in one pass, from the log alone, so none can
+    disagree with it: `FactorOutcome(attempts)`, `_make` and `_replace` all
+    derive them again, and ignore any given. The strategies build their
+    outcomes by position instead, from what their walk already knows; a
+    test holds each to `FactorOutcome` of its own log.
 
     * `factor`: the witness's gcd; None on failure.
     * `succeeded_z`: the witnessing divisor z, "fallback" or "shortcut";
@@ -111,6 +113,10 @@ class FactorOutcome(
         return "failure" if self.factor is None else "success"
 
 
+# The one outcome with no attempt: a failure with only the gcd(a, n) probe.
+_NO_ATTEMPT = FactorOutcome(())
+
+
 def _attempt(kind: AttemptKind, z: int | None, t: int, n: int) -> AttemptResult:
     """The attempt whose power a**k mod n is t: gcd(t - 1, n), classified.
 
@@ -154,7 +160,8 @@ def _shortcut_or_period(
     g = math.gcd(a, n)
     if g > 1:
         # 2 <= a < n, so 1 < g < n: the probe's gcd is always a factor.
-        return FactorOutcome((AttemptResult("gcd_shortcut", None, g, FACTOR_FOUND),)), None
+        probe = tuple.__new__(AttemptResult, ("gcd_shortcut", None, g, FACTOR_FOUND))
+        return tuple.__new__(FactorOutcome, ((probe,), g, "shortcut", (), False, 1)), None
     if period is None:
         raise ValueError("a period record is required when gcd(a, n) == 1")
     return None, period
@@ -166,19 +173,34 @@ def _divisors_then_square(
     """Walk the ascending (prime, multiplicity) entries of r's factorization
     up to the prime `bound`, trying each prime z as a divisor and stopping
     at the first factor; if none is found and a is a perfect square b*b,
-    try gcd(b**r - 1, n) last. Each z divides r, so no attempt checks it."""
+    try gcd(b**r - 1, n) last. Each z divides r, so no attempt checks it.
+
+    The outcome is built by position: the primes are distinct, so every
+    divisor tried before the witness failed once, and each attempt took
+    one gcd beside the gcd(a, n) probe."""
     attempts: list[AttemptResult] = []
+    failed: list[int] = []
     for z, _ in entries:
         if z > bound:
             break
         attempts.append(attempt := _attempt("divisor", z, pow(a, r // z, n), n))
         if attempt.outcome == FACTOR_FOUND:
-            return FactorOutcome(tuple(attempts))
+            return tuple.__new__(
+                FactorOutcome,
+                (tuple(attempts), attempt.gcd_value, z, tuple(failed), False, len(attempts) + 1),
+            )
+        failed.append(z)
+    factor = succeeded_z = None
     b = perfect_square_root(a)
     if b is not None:
         # b is a unit with a, and r >= 1: fallback_square's checks hold.
-        attempts.append(_attempt("fallback", None, pow(b, r, n), n))
-    return FactorOutcome(tuple(attempts))
+        attempts.append(attempt := _attempt("fallback", None, pow(b, r, n), n))
+        if attempt.outcome == FACTOR_FOUND:
+            factor, succeeded_z = attempt.gcd_value, "fallback"
+    return tuple.__new__(
+        FactorOutcome,
+        (tuple(attempts), factor, succeeded_z, tuple(failed), b is not None, len(attempts) + 1),
+    )
 
 
 def all_z(
@@ -218,8 +240,11 @@ def traditional_shor(n: int, a: int, period: PeriodRecord | None) -> FactorOutco
         return shortcut
     r = period.order
     if r % 2 or (t := pow(a, r // 2, n)) == n - 1:
-        return FactorOutcome(())
-    return FactorOutcome((_attempt("divisor", 2, t, n),))
+        return _NO_ATTEMPT
+    attempt = _attempt("divisor", 2, t, n)
+    if attempt.outcome != FACTOR_FOUND:  # only when r is no exact order
+        return FactorOutcome((attempt,))
+    return tuple.__new__(FactorOutcome, ((attempt,), attempt.gcd_value, 2, (), False, 2))
 
 
 def dong2023(n: int, a: int, period: PeriodRecord | None) -> FactorOutcome:

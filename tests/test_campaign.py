@@ -476,11 +476,15 @@ class TestOrderByPrimes:
         assert even >= 10  # and the half-power field was set
         assert twos or digits > 2  # p = 2 is reduced mod 2 from the empty factorization of 1
 
-    def test_half_power_by_primes_matches_mod_n_on_every_small_unit(self):
-        # Every unit of every semiprime below 2000, p = 2 included, at h = r / 2
-        # for each even order r: then a**h is +-1 mod p and mod q, and on
-        # some units only one of them is -1.
+    def test_half_power_read_off_the_outcome_matches_mod_n_on_every_small_unit(self):
+        # Every unit of every semiprime below 2000, p = 2 included, for each
+        # even order r and each strategy: the record's flag, read off the
+        # outcome with no power, is whether a**(r/2) == -1 mod n. On some
+        # units a**(r/2) is -1 mod only one of p and q.
+        strategies = [("allz", bound) for bound in (None, 2, 3, 9)]
+        strategies += [("traditional", None), ("dong2023", None)]
         orders_mod = {}
+        periods = {}
         one_side = 0
         for n, p, q in semiprimes_below(2000):
             for prime in (p, q):
@@ -494,9 +498,15 @@ class TestOrderByPrimes:
                 if a % p and a % q:
                     r = math.lcm(by_p[a % p], by_q[a % q])
                     if r % 2 == 0:
+                        if r not in periods:
+                            periods[r] = PeriodRecord(r, factorize(r))
+                        period = periods[r]
                         h = r // 2
                         want = pow(a, h, n) == n - 1
-                        assert campaign._half_power_is_minus_one(a, h, p, q) == want, (a, n)
+                        case = make_case(n, p, q, a)
+                        for strategy, bound in strategies:
+                            record = run_trial(case, strategy, bound, lambda _: period)
+                            assert record.half_power_is_minus_one == want, (a, n, strategy, bound)
                         one_side += not want and (pow(a, h, p) == p - 1 or pow(a, h, q) == q - 1)
         assert one_side > 1000
 

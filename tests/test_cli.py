@@ -348,14 +348,17 @@ class TestCampaignCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_empty_output_path_fails_before_any_case(self, capsys, monkeypatch, tmp_path):
-        # An empty --out names no file; it is not taken as no --out at all.
+        # An empty --out names no file; it is not taken as no --out at all,
+        # nor as the working directory. The error is the one `report` prints.
         def no_case(config, case_id):
             raise AssertionError("a case ran")
 
         monkeypatch.setattr(campaign, "_execute_case", no_case)
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, "campaign", "--digits", "4", "--trials", "3", "--out", "")
-        assert (code, out, err) == (3, "", "error: cannot write : it is a directory\n")
+        assert (code, out, err) == (
+            3, "", "error: cannot write : [Errno 2] No such file or directory: ''\n"
+        )
         assert list(tmp_path.iterdir()) == []
         # Nor a temporary file beside the working directory.
         assert list(tmp_path.parent.glob(f"{tmp_path.name}.*")) == []
@@ -652,6 +655,8 @@ def check_malformed_lines(capsys, tmp_path, sample_records):
         json.dumps({**good, "gcd_count": -5, "attempts_used": 0}),
         json.dumps({**good, "succeeded_z": None}),  # a success with no witness
         json.dumps({**odd, "half_power_is_minus_one": True}),  # r is odd
+        # r = 792 is even, and the flag is read off n and succeeded_z.
+        json.dumps({**good, "half_power_is_minus_one": not good["half_power_is_minus_one"]}),
         # Out of vocabulary or range.
         json.dumps({**good, "strategy": "banana"}),
         json.dumps({**good, "base_mode": "banana"}),

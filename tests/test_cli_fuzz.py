@@ -184,6 +184,9 @@ def contradicting_field(record):
         pairs.append(
             st.integers(3, 99).filter(lambda k: k % 2 and lam % (r * k)).map(lambda k: ("r", r * k))
         )
+    if record["r_even"]:
+        # On an even r the flag is read off n and succeeded_z.
+        pairs.append(st.just(("half_power_is_minus_one", not record["half_power_is_minus_one"])))
     if success:
         pairs.append(st.just(("succeeded_z", None)))
     if success or record["attempts_used"] == 1:
@@ -230,8 +233,9 @@ def test_record_contradicting_itself_is_rejected(workdir, mutation):
 
 
 def test_records_hold_successes_and_failures():
-    # So the contradictions above cover both statuses and retries.
+    # So the contradictions above cover both statuses, retries and even orders.
     assert {record["status"] for record in RECORDS} == {"success", "failure"}
+    assert any(record["r_even"] for record in RECORDS)
     assert max(record["attempts_used"] for record in RECORDS) == 2
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from allz import strategies
 from allz.campaign import STRATEGIES, RandomStream, run_strategy
 from allz.numtheory import factorize, perfect_square_root
-from allz.period_oracle import multiplicative_order
+from allz.period_oracle import PeriodRecord, multiplicative_order
 from allz.strategies import (
     AttemptResult,
     FactorOutcome,
@@ -340,6 +340,22 @@ class TestOutcomeSummary:
         # Every shape of log the strategies write is among them.
         assert {(), ("gcd_shortcut",), ("divisor",), ("divisor", "divisor")} <= seen
         assert {("fallback",), ("divisor", "fallback")} <= seen
+
+    def test_matches_the_log_on_a_multiple_of_the_order(self):
+        # The strategies build each outcome from facts that hold for the exact
+        # order r. On 2r every half power is 1, so each z = 2 attempt, the
+        # traditional one included, is trivial, and the outcome still reads
+        # as its log.
+        for n, p, q in semiprimes_below(300):
+            for a in range(2, n):
+                if math.gcd(a, n) == 1:
+                    r = 2 * period_of(a, n).order
+                    period = PeriodRecord(r, factorize(r))
+                    for strategy in STRATEGIES:
+                        for bound in (None, 2, 3):
+                            out = run_strategy(strategy, n, a, period, bound)
+                            assert summary_of(out) == reference_summary(out.attempts)
+                            assert out == FactorOutcome(out.attempts)
 
     def test_every_way_of_building_recomputes(self):
         success = all_z(21, 2, period_of(2, 21)).attempts
