@@ -39,16 +39,13 @@ from .period_oracle import (
     PeriodRecord,
     carmichael_exponent,
     multiplicative_order,
-    order_brute_force,
     order_mod_primes,
 )
 from .strategies import (
     AttemptResult,
     FactorOutcome,
     all_z,
-    attempt_divisor,
     dong2023,
-    fallback_square,
     traditional_shor,
 )
 
@@ -68,7 +65,6 @@ __all__ = [
     "TrialCase",
     "TrialRecord",
     "all_z",
-    "attempt_divisor",
     "carmichael_exponent",
     "case_seed",
     "cochran_sample_size",
@@ -77,12 +73,10 @@ __all__ = [
     "dong2023",
     "factorize",
     "failure_reason",
-    "fallback_square",
     "is_probable_prime",
     "merge_stats",
     "mix64",
     "multiplicative_order",
-    "order_brute_force",
     "order_mod_primes",
     "perfect_square_root",
     "random_prime",

@@ -49,7 +49,7 @@ from .period_oracle import (
     multiplicative_order,
     order_mod_primes,
 )
-from .strategies import FactorOutcome, all_z, dong2023, traditional_shor
+from .strategies import _NO_ATTEMPT, FactorOutcome, all_z, dong2023, traditional_shor
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -171,23 +171,16 @@ class RandomStream:
         return lo + self.below(hi - lo + 1)
 
 
-class Semiprime(NamedTuple("Semiprime", (("n", int), ("p", int), ("q", int)))):
+class Semiprime(NamedTuple):
     """A test modulus with its ground-truth prime factors.
 
-    A named tuple that checks its values however it is built: directly,
-    by `_make` or by `_replace`, which builds through `_make`.
+    `run_trial`, where a caller's case enters, checks that n = p * q with
+    p != q; `order_function` checks that p and q are distinct primes.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, n: int, p: int, q: int) -> "Semiprime":
-        if p * q != n or p == q:
-            raise ValueError("n must be the product of two distinct primes")
-        return tuple.__new__(cls, (n, p, q))
-
-    @classmethod
-    def _make(cls, iterable: Iterable[int]) -> "Semiprime":
-        return cls(*iterable)
+    n: int
+    p: int
+    q: int
 
 
 class TrialCase(NamedTuple):
@@ -742,25 +735,28 @@ def run_trial(
     `order_function` when the caller already has it; otherwise it is made
     here when needed. A precondition violation comes back as a poisoned
     record: a failure with no order, no attempts and the error message.
-    No order is found for a base outside [2, n - 1] or for a non-unit,
-    which the order mod p and mod q would take mod each prime, so the
-    strategy's own check names the fault.
+    The case's semiprime is checked first, n = p * q with p != q, so a bad
+    one poisons the record whatever the base. No order is found for a base
+    outside [2, n - 1] or for a non-unit, which the order mod p and mod q
+    would take mod each prime, so the strategy's own check names the fault.
 
     `half_power_is_minus_one` is read off the outcome, with no power taken,
     by an identity (`_dependent_fields`) that needs `order` to give the
     exact order, as `order_function` does.
     """
-    sp = case.semiprime
-    n, a = sp.n, case.a
+    n, p, q = case.semiprime
+    a = case.a
     error = None
     try:
+        if p * q != n or p == q:
+            raise ValueError("n must be the product of two distinct primes")
         if not 2 <= a < n or math.gcd(a, n) > 1:
             period = None
         else:
-            period = (order or order_function(sp))(a)
+            period = (order or order_function(case.semiprime))(a)
         outcome = run_strategy(strategy, n, a, period, bound)
     except ValueError as exc:
-        period, outcome, error = None, FactorOutcome(()), str(exc)
+        period, outcome, error = None, _NO_ATTEMPT, str(exc)
 
     r, r_distinct = (0, 0) if period is None else (period.order, len(period.factors.entries))
     succeeded_z = outcome.succeeded_z
@@ -774,8 +770,8 @@ def run_trial(
             case.case_id,
             digits,
             n,
-            sp.p,
-            sp.q,
+            p,
+            q,
             a,
             case.base_mode,
             case.seed,
@@ -1030,19 +1026,30 @@ def _run_block(config: CampaignConfig, lo: int) -> Block:
     return "\n".join(lines).encode(), tally.stats()
 
 
-def _helper(conn, config: CampaignConfig, k: int, stride: int) -> None:
-    """A helper process: send blocks k, k + stride, ... down `conn`, or the error."""
+def _helper(reader, writer, config: CampaignConfig, k: int, stride: int) -> None:
+    """A helper process: send blocks k, k + stride, ... down `writer`, or the error.
+
+    A forked helper inherits `reader`, the pipe's reading end, and closes it
+    first: a send fails with EPIPE only once no process holds that end, so
+    a helper that kept it would wait on its full pipe forever after its
+    main process was killed.
+    """
+    reader.close()
     # Imported only here, where multiprocessing has already loaded it. Ctrl-C
-    # reaches the whole process group; the main process alone answers it.
+    # and a hangup reach the whole process group; the main process alone
+    # answers them. SIGTERM, which `terminate` sends, keeps its default
+    # action, whatever handler the main process had when it forked.
     import signal
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGHUP, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         try:
             for lo in range(k * _BLOCK_SIZE, config.trials, stride * _BLOCK_SIZE):
-                conn.send(_run_block(config, lo))
+                writer.send(_run_block(config, lo))
         except Exception as exc:
-            conn.send(exc)
+            writer.send(exc)
     except BrokenPipeError:
         pass  # the main process has stopped reading
 
@@ -1085,7 +1092,7 @@ def campaign_blocks(config: CampaignConfig) -> Iterator[Block]:
         for k in range(1, processes):
             reader, writer = multiprocessing.Pipe(duplex=False)
             helper = multiprocessing.Process(
-                target=_helper, args=(writer, config, k, processes), daemon=True
+                target=_helper, args=(reader, writer, config, k, processes), daemon=True
             )
             helper.start()
             helpers.append((helper, reader))

@@ -6,8 +6,9 @@ one or more JSONL result files), and `verify-paper` (replay the embedded
 reference failure cases).
 
 Exit codes are uniform across subcommands: 0 success, 1 method failure or
-verification mismatch, 2 invalid input, 3 I/O or internal error, and 130
-when Ctrl-C stops a campaign.
+verification mismatch, 2 invalid input, 3 I/O or internal error (standard
+output that cannot be written included), and 128 + the signal when
+Ctrl-C, SIGTERM or SIGHUP stops a campaign: 130, 143 or 129.
 """
 
 from __future__ import annotations
@@ -55,6 +56,48 @@ EXIT_METHOD_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_IO_ERROR = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+
+
+class _StdoutFailed(Exception):
+    """A write or flush of standard output failed; the OSError is the cause."""
+
+
+def _emit(*lines: str) -> None:
+    """Write each line, with its line end, to standard output; with no line,
+    flush it. Every command's output and the final flush go through here,
+    so a failure to write reaches `main` as one `_StdoutFailed`."""
+    try:
+        if lines:
+            sys.stdout.write("".join(line + "\n" for line in lines))
+        else:
+            sys.stdout.flush()
+    except OSError as exc:
+        raise _StdoutFailed from exc
+
+
+def _stdout_failed(exc: OSError) -> int:
+    """Exit 3 when standard output cannot be written: quietly when its reader
+    has gone (EPIPE), with one line on standard error otherwise."""
+    # The interpreter flushes standard output once more at exit. Pointed at
+    # the null device, as the docs on SIGPIPE advise, that flush cannot fail.
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    finally:
+        os.close(devnull)
+    if not isinstance(exc, BrokenPipeError):
+        print(f"error: cannot write standard output: {exc}", file=sys.stderr)
+    return EXIT_IO_ERROR
+
+
+class _Stopped(BaseException):
+    """SIGTERM or SIGHUP, raised where it lands in a campaign so that it
+    takes the Ctrl-C path; `args[0]` is the signal."""
+
+
+def _stop(signum: int, frame: Any) -> None:
+    raise _Stopped(signum)
+
 
 _BOUND_CLASS_LABELS = {
     "1": "z <= 9",
@@ -181,7 +224,7 @@ def _cmd_factor(args: argparse.Namespace) -> int:
         "attempts": [att._asdict() for att in outcome.attempts],
         "gcd_count": outcome.gcd_count,
     }
-    print(json.dumps(payload))
+    _emit(json.dumps(payload))
     return EXIT_OK if outcome.status == "success" else EXIT_METHOD_FAILURE
 
 
@@ -198,7 +241,7 @@ def _cmd_order(args: argparse.Namespace) -> int:
         print(f"error: a and n share the factor {shared}; no order exists", file=sys.stderr)
         return EXIT_INVALID_INPUT
     record = multiplicative_order(a, n)
-    print(
+    _emit(
         json.dumps(
             {"n": n, "a": a, "r": record.order, "factors": {str(p): e for p, e in record.factors}}
         )
@@ -322,6 +365,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
+    # SIGTERM and SIGHUP take the Ctrl-C path while the blocks run. Imported
+    # only here, so no other command pays its import.
+    import signal
+
+    stop_signals = (signal.SIGTERM, signal.SIGHUP)
+    handlers = [signal.signal(signum, _stop) for signum in stop_signals]
     # Each block's bytes are written as the block arrives; nothing else is kept.
     stats = CampaignStats()
     try:
@@ -341,13 +390,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return _campaign_failed(partial, f"campaign I/O failure: {exc}")
     except KeyboardInterrupt:
         return _campaign_failed(partial, "campaign interrupted", EXIT_INTERRUPTED)
+    except _Stopped as exc:
+        signum = exc.args[0]
+        return _campaign_failed(
+            partial, f"campaign stopped by {signal.Signals(signum).name}", 128 + signum
+        )
+    finally:
+        for signum, handler in zip(stop_signals, handlers):
+            signal.signal(signum, handler)
     header = (
         f"campaign: digits={config.digits} trials={config.trials} "
         f"strategy={config.strategy} base_mode={config.base_mode} "
         f"bound={config.bound} seed={config.master_seed}"
     )
-    for line in _stats_summary_lines(stats, header):
-        print(line)
+    _emit(*_stats_summary_lines(stats, header))
     return EXIT_OK
 
 
@@ -488,17 +544,17 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    for line in _stats_summary_lines(stats, f"report over {stats.trials} records"):
-        print(line)
+    lines = _stats_summary_lines(stats, f"report over {stats.trials} records")
     table = _success_by_digits(stats)
     if table:
-        print("  success rate by digits and strategy:")
+        lines.append("  success rate by digits and strategy:")
         for digits, by_strategy in table.items():
             for strategy, cell in by_strategy.items():
-                print(
+                lines.append(
                     f"    digits={digits} {strategy}: "
                     f"{_rate(cell['successes'], cell['trials'])}"
                 )
+    _emit(*lines)
     if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
@@ -537,16 +593,25 @@ def _cmd_verify_paper() -> int:
             f"fallback={'yes' if case.expects_fallback else 'no'}"
         )
         if problems:
-            print(f"{label} MISMATCH: {'; '.join(problems)}")
+            _emit(f"{label} MISMATCH: {'; '.join(problems)}")
             return EXIT_METHOD_FAILURE
-        print(f"{label} ok")
+        _emit(f"{label} ok")
         passed += 1
-    print(f"{passed}/{total} rows verified")
+    _emit(f"{passed}/{total} rows verified")
     return EXIT_OK
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        code = _run_command(args)
+        _emit()
+    except _StdoutFailed as failed:
+        return _stdout_failed(failed.__cause__)
+    return code
+
+
+def _run_command(args: argparse.Namespace) -> int:
     try:
         if args.command == "factor":
             return _cmd_factor(args)

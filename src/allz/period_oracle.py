@@ -21,30 +21,18 @@ from typing import Iterable, NamedTuple
 
 from .numtheory import Factorization, factorize, is_probable_prime
 
-#: Largest modulus order_brute_force accepts; successive multiplication
-#: beyond this is pathologically slow.
-BRUTE_FORCE_LIMIT = 10**6
 
-
-class PeriodRecord(NamedTuple("PeriodRecord", (("order", int), ("factors", Factorization)))):
+class PeriodRecord(NamedTuple):
     """The multiplicative order r together with its complete factorization.
 
-    A named tuple that checks its values however it is built: directly,
-    by `_make` or by `_replace`, which builds through `_make`.
+    `order_mod_primes` builds it from one validated factorization whose
+    value is the order. A caller's record is checked where it enters a
+    strategy: its order must be at least 1 and its factorization must
+    reconstruct it.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, order: int, factors: Factorization) -> "PeriodRecord":
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if factors.value != order:
-            raise ValueError("factorization does not reconstruct the order")
-        return tuple.__new__(cls, (order, factors))
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "PeriodRecord":
-        return cls(*iterable)
+    order: int
+    factors: Factorization
 
 
 def carmichael_exponent(p: int, q: int) -> int:
@@ -94,8 +82,7 @@ def order_mod_primes(a: int, parts: Iterable[tuple[int, Factorization]]) -> Peri
     keeps its largest valuation over the parts: the reduced entries of
     every part go into one list, merged once at the end. The one
     factorization built from them is validated, and its value is the
-    order, so the record is built from it by position: its own check
-    could not fail.
+    order, so the record is built from it by position.
     """
     entries = []
     for m, hint in parts:
@@ -121,22 +108,3 @@ def _lcm_entries(entries: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], .
     their (prime, multiplicity) entries: sorted, each prime's entries come
     in rising multiplicity, so the dict keeps its largest."""
     return tuple(dict(sorted(entries)).items())
-
-
-def order_brute_force(a: int, n: int) -> int:
-    """Order of a mod n by successive multiplication; independent check path.
-
-    Guarded to n <= 10**6 because the walk takes order-of-r steps.
-    """
-    if n < 2 or n > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"modulus must be in [2, {BRUTE_FORCE_LIMIT}], got {n}")
-    if not 1 <= a < n:
-        raise ValueError(f"base must satisfy 1 <= a < n, got a={a}, n={n}")
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"base {a} shares a factor with modulus {n}")
-    r = 1
-    cur = a % n
-    while cur != 1:
-        cur = cur * a % n
-        r += 1
-    return r

@@ -44,28 +44,14 @@ class AttemptResult(NamedTuple):
     outcome: AttemptOutcome
 
 
-class FactorOutcome(
-    NamedTuple(
-        "FactorOutcome",
-        (
-            ("attempts", tuple[AttemptResult, ...]),
-            ("factor", int | None),
-            ("succeeded_z", int | str | None),
-            ("failed_z", tuple[int, ...]),
-            ("fallback_tried", bool),
-            ("gcd_count", int),
-        ),
-    )
-):
+class FactorOutcome(NamedTuple):
     """Result of running one strategy on (n, a, r): its attempt log, summarised.
 
     `attempts` logs everything tried in order; on success it ends with the
-    witnessing attempt, on failure every entry is trivial. The other values
-    are read off the log in one pass, from the log alone, so none can
-    disagree with it: `FactorOutcome(attempts)`, `_make` and `_replace` all
-    derive them again, and ignore any given. The strategies build their
-    outcomes by position instead, from what their walk already knows; a
-    test holds each to `FactorOutcome` of its own log.
+    witnessing attempt, on failure every entry is trivial. The strategies
+    build the other values by position, from what their walk already
+    knows; a differential test holds each outcome to the summary that a
+    reference walk of its own log gives.
 
     * `factor`: the witness's gcd; None on failure.
     * `succeeded_z`: the witnessing divisor z, "fallback" or "shortcut";
@@ -77,31 +63,12 @@ class FactorOutcome(
       but is logged only when it found a factor.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, attempts: tuple[AttemptResult, ...]) -> "FactorOutcome":
-        failed: dict[int, None] = {}
-        fallback_tried = False
-        gcd_count = 1
-        for kind, z, g, outcome in attempts:
-            if kind != "gcd_shortcut":
-                gcd_count += 1
-                if kind == "fallback":
-                    fallback_tried = True
-                elif kind == "divisor" and outcome != FACTOR_FOUND:
-                    failed[z] = None
-        factor = succeeded_z = None
-        if attempts and outcome == FACTOR_FOUND:  # the loop's last attempt is the witness
-            factor = g
-            succeeded_z = z if kind == "divisor" else "fallback" if kind == "fallback" else "shortcut"
-        return tuple.__new__(
-            cls, (attempts, factor, succeeded_z, tuple(failed), fallback_tried, gcd_count)
-        )
-
-    @classmethod
-    def _make(cls, iterable: Iterable) -> "FactorOutcome":
-        attempts, *_ = iterable
-        return cls(attempts)
+    attempts: tuple[AttemptResult, ...]
+    factor: int | None
+    succeeded_z: int | str | None
+    failed_z: tuple[int, ...]
+    fallback_tried: bool
+    gcd_count: int
 
     @property
     def witness(self) -> AttemptResult | None:
@@ -114,7 +81,7 @@ class FactorOutcome(
 
 
 # The one outcome with no attempt: a failure with only the gcd(a, n) probe.
-_NO_ATTEMPT = FactorOutcome(())
+_NO_ATTEMPT = tuple.__new__(FactorOutcome, ((), None, None, (), False, 1))
 
 
 def _attempt(kind: AttemptKind, z: int | None, t: int, n: int) -> AttemptResult:
@@ -129,34 +96,25 @@ def _attempt(kind: AttemptKind, z: int | None, t: int, n: int) -> AttemptResult:
     return tuple.__new__(AttemptResult, (kind, z, g, outcome))
 
 
-def attempt_divisor(n: int, a: int, r: int, z: int) -> AttemptResult:
-    """Try the divisor z of r: gcd(a**(r/z) - 1, n), classified."""
-    if r % z:
-        raise ValueError(f"{z} does not divide the order {r}")
-    return _attempt("divisor", z, pow(a, r // z, n), n)
-
-
-def fallback_square(n: int, b: int, r: int) -> AttemptResult:
-    """Square-base fallback: gcd(b**r - 1, n) for a = b*b, classified."""
-    if math.gcd(b, n) != 1:
-        raise ValueError(f"square root {b} shares a factor with {n}")
-    if r < 1:
-        raise ValueError("order must be >= 1")
-    return _attempt("fallback", None, pow(b, r, n), n)
-
-
 def _shortcut_or_period(
     n: int, a: int, period: PeriodRecord | None
 ) -> tuple[FactorOutcome, None] | tuple[None, PeriodRecord]:
-    """Validate (n, a), then probe gcd(a, n).
+    """Validate (n, a) and a given period record, then probe gcd(a, n).
 
-    Returns the shortcut outcome when the probe found a factor, otherwise
-    None and the period record, which is then required.
+    Every strategy takes its caller's period here, so this is where the
+    record is checked: its order is at least 1 and its factorization
+    reconstructs it. Returns the shortcut outcome when the probe found a
+    factor, otherwise None and the period record, which is then required.
     """
     if n < 4:
         raise ValueError(f"modulus must be a composite >= 4, got {n}")
     if not 2 <= a < n:
         raise ValueError(f"base must satisfy 2 <= a < n, got a={a}, n={n}")
+    if period is not None:
+        if period.order < 1:
+            raise ValueError("order must be >= 1")
+        if period.factors.value != period.order:
+            raise ValueError("factorization does not reconstruct the order")
     g = math.gcd(a, n)
     if g > 1:
         # 2 <= a < n, so 1 < g < n: the probe's gcd is always a factor.
@@ -193,7 +151,7 @@ def _divisors_then_square(
     factor = succeeded_z = None
     b = perfect_square_root(a)
     if b is not None:
-        # b is a unit with a, and r >= 1: fallback_square's checks hold.
+        # b is a unit with a, and r >= 1, so gcd(b**r - 1, n) is a fair attempt.
         attempts.append(attempt := _attempt("fallback", None, pow(b, r, n), n))
         if attempt.outcome == FACTOR_FOUND:
             factor, succeeded_z = attempt.gcd_value, "fallback"
@@ -243,7 +201,7 @@ def traditional_shor(n: int, a: int, period: PeriodRecord | None) -> FactorOutco
         return _NO_ATTEMPT
     attempt = _attempt("divisor", 2, t, n)
     if attempt.outcome != FACTOR_FOUND:  # only when r is no exact order
-        return FactorOutcome((attempt,))
+        return tuple.__new__(FactorOutcome, ((attempt,), None, None, (2,), False, 2))
     return tuple.__new__(FactorOutcome, ((attempt,), attempt.gcd_value, 2, (), False, 2))
 
 

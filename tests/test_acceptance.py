@@ -30,9 +30,10 @@ from allz.campaign import (
 from allz.cli import main as cli_main
 from allz.cli import record_json_line
 from allz.numtheory import factorize
-from allz.period_oracle import order_brute_force, order_mod_primes
+from allz.period_oracle import order_mod_primes
 from allz.strategies import all_z, dong2023, traditional_shor
 from conftest import semiprimes_below
+from reference import order_brute_force
 
 
 @pytest.fixture

@@ -41,7 +41,7 @@ from allz.campaign import (
     sample_base,
     sample_semiprime,
 )
-from allz.numtheory import factorize, is_probable_prime, perfect_square_root
+from allz.numtheory import Factorization, factorize, is_probable_prime, perfect_square_root
 from allz.period_oracle import PeriodRecord, carmichael_exponent, order_mod_primes
 
 
@@ -244,16 +244,23 @@ class TestSamplers:
                 assert len(str(sp.p)) == len(str(sp.q)) == (digits + 1) // 2
 
     def test_semiprime_invariant(self):
-        # Checked however one is built: directly, by _make or by _replace.
-        for build in (
-            lambda: Semiprime(n=35, p=5, q=5),
-            lambda: Semiprime(n=36, p=5, q=7),
-            lambda: Semiprime._make((36, 5, 7)),
-            lambda: Semiprime(15, 3, 5)._replace(q=7),
-            lambda: Semiprime(15, 3, 5)._replace(p=5),
+        # Checked where a caller's case enters, run_trial, however the
+        # semiprime was built: directly, by _make or by _replace. Every base
+        # poisons the record, the gcd-shortcut ones included.
+        for sp in (
+            Semiprime(n=35, p=5, q=5),
+            Semiprime(n=25, p=5, q=5),
+            Semiprime(n=36, p=5, q=7),
+            Semiprime._make((36, 5, 7)),
+            Semiprime(15, 3, 5)._replace(q=7),
+            Semiprime(15, 3, 5)._replace(p=5),
         ):
-            with pytest.raises(ValueError, match="two distinct primes"):
-                build()
+            for a in (2, 3, 5, 6, 7, 22):
+                for strategy in campaign.STRATEGIES:
+                    record = run_trial(TrialCase(0, sp, a, "random", 9), strategy)
+                    assert record.error == "n must be the product of two distinct primes"
+                    assert (record.status, record.r, record.gcd_count) == ("failure", 0, 0)
+                    assert failure_reason(record) == "precondition_error"
         sp = Semiprime._make((15, 3, 5))
         assert type(sp) is Semiprime and sp._replace(n=21, q=7) == Semiprime(21, 3, 7)
         # A named tuple: equal to a plain tuple of its values.
@@ -409,6 +416,21 @@ class TestRunTrial:
         assert record.error is not None
         assert record.status == "failure"
         assert failure_reason(record) == "precondition_error"
+
+    def test_bad_period_from_the_order_function_poisons_the_record(self):
+        # A caller's order function hands each strategy its record, which the
+        # strategy checks where it enters.
+        case = make_case(21, 3, 7, 2)
+        assert run_trial(case, "allz").r == 6
+        bad = [
+            (PeriodRecord(0, Factorization(())), "order must be >= 1"),
+            (PeriodRecord(12, factorize(6)), "factorization does not reconstruct the order"),
+        ]
+        for period, message in bad:
+            for strategy in campaign.STRATEGIES:
+                record = run_trial(case, strategy, order=lambda _: period)
+                assert (record.status, record.r, record.gcd_count) == ("failure", 0, 0)
+                assert record.error == message
 
     def test_composite_prime_poisons_the_record(self):
         # run_trial merges orders mod p and mod q. Modulo p = 3 * 120000007
@@ -606,7 +628,7 @@ class TestOrderByPrimes:
         for p, q in pairs:
             with pytest.raises(ValueError) as expected:
                 carmichael_exponent(p, q)
-            sp = tuple.__new__(Semiprime, (p * q, p, q))  # past Semiprime's own check
+            sp = Semiprime(p * q, p, q)
             for squares in (False, True, False, True):
                 with pytest.raises(ValueError) as raised:
                     campaign.order_function(sp, squares=squares)
@@ -733,13 +755,18 @@ class TestCampaign:
         assert capfd.readouterr() == ("", "")  # helpers print no traceback
 
     def test_helper_stops_quietly_once_its_reader_is_gone(self):
+        # The helper closes the reading end it is handed, here the only one,
+        # so its first send past the pipe's buffer fails and it stops.
         reader, writer = multiprocessing.Pipe(duplex=False)
-        reader.close()
-        handler = signal.getsignal(signal.SIGINT)
+        signals = (signal.SIGINT, signal.SIGHUP, signal.SIGTERM)
+        handlers = [signal.getsignal(signum) for signum in signals]
         try:
-            campaign._helper(writer, CampaignConfig(digits=4, trials=300), 0, 1)
+            campaign._helper(reader, writer, CampaignConfig(digits=4, trials=300), 0, 1)
         finally:
-            signal.signal(signal.SIGINT, handler)  # _helper ignores Ctrl-C from here on
+            # _helper sets these from here on.
+            for signum, handler in zip(signals, handlers):
+                signal.signal(signum, handler)
+        assert reader.closed
 
     def test_helper_sends_on_through_ctrl_c(self):
         # Ctrl-C reaches every process of the group: a helper ignores it and
@@ -747,7 +774,9 @@ class TestCampaign:
         # than the pipe holds, so the helper is still running when signalled.
         config = CampaignConfig(digits=7, trials=6 * campaign._BLOCK_SIZE)
         reader, writer = multiprocessing.Pipe(duplex=False)
-        helper = multiprocessing.Process(target=campaign._helper, args=(writer, config, 1, 2))
+        helper = multiprocessing.Process(
+            target=campaign._helper, args=(reader, writer, config, 1, 2)
+        )
         helper.start()
         writer.close()
         try:

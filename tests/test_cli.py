@@ -28,6 +28,17 @@ from allz.cli import _fixed6_ratio, main, record_json_line
 SRC_DIR = os.path.dirname(os.path.dirname(allz.__file__))
 
 
+def _is_running(pid):
+    """Whether the process exists and has not exited: an orphan that has
+    exited stays a zombie until its new parent reaps it."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -468,6 +479,63 @@ class TestCampaignCommand:
         assert list(tmp_path.iterdir()) == []  # no results file and no temporary file
         with pytest.raises(ProcessLookupError):  # no helper left in the group
             os.killpg(proc.pid, 0)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc")
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGKILL], ids=lambda s: s.name
+    )
+    def test_signal_to_the_main_process_leaves_no_helper(self, tmp_path, signum):
+        # Only the main process is signalled, as `kill` or a runner's timeout
+        # does. SIGTERM and SIGHUP take the Ctrl-C path; after SIGKILL the
+        # helper's next send fails, since it holds no reading end of its pipe.
+        out_path = tmp_path / "r.jsonl"
+        code = (
+            "import sys\n"
+            "from allz import campaign, cli\n"
+            "campaign._usable_cpus = lambda: 2\n"
+            "sys.exit(cli.main(['campaign', '--digits', '8', '--trials', '3000000',"
+            f" '--workers', '2', '--out', {str(out_path)!r}]))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            start_new_session=True,
+        )
+        children = f"/proc/{proc.pid}/task/{proc.pid}/children"
+        helpers = []
+        try:
+            # Once the helper runs and the first block is in the temporary file.
+            deadline = time.monotonic() + 60
+            while not helpers or not any(p.stat().st_size for p in tmp_path.iterdir()):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+                with open(children, encoding="ascii") as handle:
+                    helpers = [int(pid) for pid in handle.read().split()]
+            os.kill(proc.pid, signum)
+            out, err = proc.communicate(timeout=60)
+            deadline = time.monotonic() + 30
+            while left := [pid for pid in helpers if _is_running(pid)]:
+                assert time.monotonic() < deadline, f"helpers {left} outlived the campaign"
+                time.sleep(0.05)
+        finally:
+            # Whatever happened above, leave no process of the campaign behind.
+            for pid in helpers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        assert len(helpers) == 1
+        if signum == signal.SIGKILL:
+            assert proc.returncode == -signal.SIGKILL
+            return
+        name = signal.Signals(signum).name
+        assert (proc.returncode, out) == (128 + signum, "")
+        assert err == f"error: campaign stopped by {name}\n"
+        assert list(tmp_path.iterdir()) == []  # no results file and no temporary file
 
     def test_failed_rerun_keeps_the_earlier_results(self, capsys, monkeypatch, tmp_path):
         out_path = tmp_path / "r.jsonl"
@@ -969,3 +1037,53 @@ class TestVerifyPaperCommand:
         assert code == 0
         assert "13/13 rows verified" in out
         assert out.count(" ok") == 13
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["campaign", "--digits", "4", "--trials", "30"],
+        ["report"],  # over a results file made here
+        ["factor", "2540107", "--base", "1316667"],
+        ["order", "1406371", "36"],
+        ["verify-paper"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_stdout_exits_3_without_traceback(capsys, tmp_path, argv, sink, unbuffered):
+    # A closed pipe exits quietly; any other write error names itself in one
+    # line. Neither leaves the interpreter's own flush at exit to fail again.
+    if sink == "/dev/full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    if argv[0] == "report":
+        argv = ["report", "--in", str(tmp_path / "r.jsonl")]
+        made = run_cli(capsys, "campaign", "--digits", "4", "--trials", "30", "--out", argv[-1])
+        assert made[0] == 0
+    if sink == "closed pipe":
+        reader, stdout = os.pipe()
+        os.close(reader)
+    else:
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    env.pop("PYTHONUNBUFFERED", None)
+    flags = ["-u"] if unbuffered else []
+    try:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "allz.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    if sink == "closed pipe":
+        assert proc.stderr == ""
+    else:
+        no_space = "[Errno 28] No space left on device"
+        assert proc.stderr == f"error: cannot write standard output: {no_space}\n"

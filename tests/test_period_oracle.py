@@ -13,9 +13,10 @@ from allz.period_oracle import (
     PeriodRecord,
     carmichael_exponent,
     multiplicative_order,
-    order_brute_force,
     order_mod_primes,
 )
+from allz.strategies import all_z, dong2023, traditional_shor
+from reference import order_brute_force
 
 
 class TestCarmichaelExponent:
@@ -341,19 +342,22 @@ class TestOrderRecordBuild:
 
 class TestPeriodRecord:
     def test_complete_record_checks_reconstruction(self):
-        # Checked however one is built: directly, by _make or by _replace.
+        # Checked where a caller's record enters a strategy, however it was
+        # built: directly, by _make or by _replace.
         four = Factorization(((2, 2),))
         record = PeriodRecord(order=4, factors=four)
-        for build in (
-            lambda: PeriodRecord(order=6, factors=four),
-            lambda: PeriodRecord._make((6, four)),
-            lambda: record._replace(order=6),
-            lambda: record._replace(factors=Factorization(((3, 1),))),
-        ):
-            with pytest.raises(ValueError, match="does not reconstruct"):
-                build()
-        with pytest.raises(ValueError, match="order must be >= 1"):
-            record._replace(order=0)
+        for strategy in (all_z, traditional_shor, dong2023):
+            assert strategy(15, 2, record).status == "success"
+            for bad in (
+                PeriodRecord(order=6, factors=four),
+                PeriodRecord._make((6, four)),
+                record._replace(order=6),
+                record._replace(factors=Factorization(((3, 1),))),
+            ):
+                with pytest.raises(ValueError, match="does not reconstruct"):
+                    strategy(15, 2, bad)
+            with pytest.raises(ValueError, match="order must be >= 1"):
+                strategy(15, 2, record._replace(order=0))
         assert type(PeriodRecord._make((4, four))) is PeriodRecord
         # A named tuple: equal to a plain tuple of its values.
         assert record == (4, four) and record._fields == ("order", "factors")

@@ -9,17 +9,10 @@ from hypothesis import strategies as st
 
 from allz import strategies
 from allz.campaign import STRATEGIES, RandomStream, run_strategy
-from allz.numtheory import factorize, perfect_square_root
+from allz.numtheory import Factorization, factorize, perfect_square_root
 from allz.period_oracle import PeriodRecord, multiplicative_order
-from allz.strategies import (
-    AttemptResult,
-    FactorOutcome,
-    all_z,
-    attempt_divisor,
-    dong2023,
-    fallback_square,
-    traditional_shor,
-)
+from allz.strategies import AttemptResult, FactorOutcome, all_z, dong2023, traditional_shor
+from reference import attempt_divisor, fallback_square, summarize
 
 
 def period_of(a, n):
@@ -355,9 +348,11 @@ class TestOutcomeSummary:
                         for bound in (None, 2, 3):
                             out = run_strategy(strategy, n, a, period, bound)
                             assert summary_of(out) == reference_summary(out.attempts)
-                            assert out == FactorOutcome(out.attempts)
+                            assert out == summarize(out.attempts)
 
-    def test_every_way_of_building_recomputes(self):
+    def test_reference_summary_reads_every_log(self):
+        # The strategies' outcomes are held to `summarize`; it reads each
+        # value off the log alone, whatever shape the log has.
         success = all_z(21, 2, period_of(2, 21)).attempts
         failure = all_z(1406371, 36, period_of(36, 1406371)).attempts
         repeated = (
@@ -367,18 +362,11 @@ class TestOutcomeSummary:
             AttemptResult("fallback", None, 7, "factor_found"),
         )
         for log in ((), success, failure, repeated):
-            built = (
-                FactorOutcome(log),
-                FactorOutcome._make((log,)),
-                FactorOutcome._make(FactorOutcome(success)._replace(attempts=log)),
-                FactorOutcome(failure)._replace(attempts=log),
-                # Summary values given alongside a log are derived from it again.
-                FactorOutcome(log)._replace(factor=99, gcd_count=0, failed_z=(5,)),
-            )
-            for out in built:
-                assert out.attempts == log and summary_of(out) == reference_summary(log)
-        assert FactorOutcome(repeated).failed_z == (3, 2)
-        assert FactorOutcome(repeated).succeeded_z == "fallback"
+            out = summarize(log)
+            assert type(out) is FactorOutcome
+            assert out.attempts == log and summary_of(out) == reference_summary(log)
+        assert summarize(repeated).failed_z == (3, 2)
+        assert summarize(repeated).succeeded_z == "fallback"
 
 
 def reference_attempt(kind, z, base, exponent, n):
@@ -397,11 +385,11 @@ def reference_walk(n, a, r, divisors):
     for z in divisors:
         attempts.append(attempt_divisor(n, a, r, z))
         if attempts[-1].outcome == "factor_found":
-            return FactorOutcome(tuple(attempts))
+            return summarize(tuple(attempts))
     b = perfect_square_root(a)
     if b is not None:
         attempts.append(fallback_square(n, b, r))
-    return FactorOutcome(tuple(attempts))
+    return summarize(tuple(attempts))
 
 
 def reference_strategy(strategy, n, a, period, bound):
@@ -410,9 +398,13 @@ def reference_strategy(strategy, n, a, period, bound):
         raise ValueError(f"modulus must be a composite >= 4, got {n}")
     if not 2 <= a < n:
         raise ValueError(f"base must satisfy 2 <= a < n, got a={a}, n={n}")
+    if period is not None and period.order < 1:
+        raise ValueError("order must be >= 1")
+    if period is not None and period.factors.value != period.order:
+        raise ValueError("factorization does not reconstruct the order")
     g = math.gcd(a, n)
     if g > 1:
-        return FactorOutcome((AttemptResult("gcd_shortcut", None, g, "factor_found"),))
+        return summarize((AttemptResult("gcd_shortcut", None, g, "factor_found"),))
     if period is None:
         raise ValueError("a period record is required when gcd(a, n) == 1")
     r = period.order
@@ -421,9 +413,9 @@ def reference_strategy(strategy, n, a, period, bound):
             raise ValueError(f"bound must be >= 2, got {bound}")
         primes = [z for z, _ in period.factors.entries if bound is None or z <= bound]
         return reference_walk(n, a, r, primes)
-    base = FactorOutcome(())
+    base = summarize(())
     if r % 2 == 0 and pow(a, r // 2, n) != n - 1:
-        base = FactorOutcome((attempt_divisor(n, a, r, 2),))
+        base = summarize((attempt_divisor(n, a, r, 2),))
     if strategy == "traditional" or base.status == "success":
         return base
     return reference_walk(n, a, r, (3,) if r % 3 == 0 else ())
@@ -477,6 +469,13 @@ class TestOneCallAttempt:
             (21, 2, period, 1),
             (21, 2, period, -5),
             (15, 5, None, 1),  # the shortcut comes before the bound is read
+            # A caller's period is checked wherever it is given, shortcut or not.
+            (21, 2, PeriodRecord(0, Factorization(())), None),
+            (21, 2, PeriodRecord(-6, factorize(6)), None),
+            (21, 2, PeriodRecord(6, factorize(12)), None),
+            (21, 2, PeriodRecord(12, factorize(6)), None),
+            (15, 5, PeriodRecord(4, factorize(2)), None),
+            (3, 2, PeriodRecord(0, Factorization(())), None),  # (n, a) are checked first
         ]
         for strategy in STRATEGIES:
             for n, a, record, bound in cases:
