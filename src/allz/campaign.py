@@ -23,7 +23,7 @@ import math
 import os
 import struct
 from collections import Counter, namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, islice, product
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -416,11 +416,13 @@ _CHUNK_BYTES = 1 << 16
 
 
 class BadLine(ValueError):
-    """Line `index` (from 0) of a chunk is no record; the reader's error is the cause."""
+    """Line `index` (from 0) of a chunk, or of the file `path` when one is
+    given, is no record; the reader's error is the cause."""
 
-    def __init__(self, index: int) -> None:
-        super().__init__(f"line {index} of the chunk is no record")
+    def __init__(self, index: int, path: str | None = None) -> None:
+        super().__init__(f"line {index} of {'the chunk' if path is None else path} is no record")
         self.index = index
+        self.path = path
 
 
 def read_chunks(handle: BinaryIO) -> Iterator[bytes]:
@@ -472,32 +474,45 @@ def decode_chunk(chunk: bytes) -> list[TrialRecord]:
       same record.
 
     Any other chunk, or one whose whole decode fails, is read line by line
-    by `record_from_json_line`. A chunk that is not UTF-8 is split as
-    bytes, so only its bad line fails. On a bad line, raises `BadLine` with
+    by `record_from_json_line`. Its lines are split as bytes, so in a chunk
+    that is not UTF-8 only the bad line fails. On a bad line, raises `BadLine` with
     the first bad line's index, and the line reader's error as its cause.
     """
+    rows = _parse_chunk(chunk)
+    if rows is not None:
+        # Read at call time, so a wrapper patched onto the method sees each call.
+        decode = TrialRecord.from_json_dict
+        try:
+            return [decode(row) for row in rows]
+        except _LINE_ERRORS:
+            pass
+    return _decode_lines(chunk.split(b"\n"))
+
+
+def _parse_chunk(chunk: bytes) -> list | None:
+    """The parse half of `decode_chunk`: the JSON value of each line of the
+    chunk, read by its one JSON call, or None where its guard takes no call."""
     try:
         text = chunk.decode("utf-8")
     except UnicodeDecodeError:
-        return _decode_lines(chunk.split(b"\n"))
+        return None
     body = text[:-1] if text.endswith("\n") else text
-    count = body.count("\n") + 1
-    if body.count("[") == count:
-        # Read at call time, so a wrapper patched onto the method sees each call.
-        decode = TrialRecord.from_json_dict
-        whole = "[[" + body.replace("\n", "],\n[") + "]]"
-        try:
-            rows, end = _decode_json(whole)
-            # A row that is no list of one item fails to unpack, or hands
-            # `from_json_dict` a string, which it refuses.
-            if end == len(whole) and len(rows) == count:
-                return [decode(item) for (item,) in rows]
-        except _LINE_ERRORS:
-            pass
-    return _decode_lines(text.split("\n"))
+    lines = body.count("\n") + 1
+    if body.count("[") != lines:
+        return None
+    whole = "[[" + body.replace("\n", "],\n[") + "]]"
+    try:
+        rows, end = _decode_json(whole)
+        # A row that is no list of one item fails to unpack; one that holds a
+        # string, `from_json_dict` refuses.
+        if end == len(whole) and len(rows) == lines:
+            return [value for (value,) in rows]
+    except _LINE_ERRORS:
+        pass
+    return None
 
 
-def _decode_lines(lines: list[str] | list[bytes]) -> list[TrialRecord]:
+def _decode_lines(lines: list[bytes]) -> list[TrialRecord]:
     """The records of a chunk's lines, read one by one; the last is dropped
     when empty, being what follows the chunk's last line end."""
     if not lines[-1]:
@@ -1026,34 +1041,6 @@ def _run_block(config: CampaignConfig, lo: int) -> Block:
     return "\n".join(lines).encode(), tally.stats()
 
 
-def _helper(reader, writer, config: CampaignConfig, k: int, stride: int) -> None:
-    """A helper process: send blocks k, k + stride, ... down `writer`, or the error.
-
-    A forked helper inherits `reader`, the pipe's reading end, and closes it
-    first: a send fails with EPIPE only once no process holds that end, so
-    a helper that kept it would wait on its full pipe forever after its
-    main process was killed.
-    """
-    reader.close()
-    # Imported only here, where multiprocessing has already loaded it. Ctrl-C
-    # and a hangup reach the whole process group; the main process alone
-    # answers them. SIGTERM, which `terminate` sends, keeps its default
-    # action, whatever handler the main process had when it forked.
-    import signal
-
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGHUP, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    try:
-        try:
-            for lo in range(k * _BLOCK_SIZE, config.trials, stride * _BLOCK_SIZE):
-                writer.send(_run_block(config, lo))
-        except Exception as exc:
-            writer.send(exc)
-    except BrokenPipeError:
-        pass  # the main process has stopped reading
-
-
 class CampaignResult(NamedTuple):
     """Records in case_id order plus their aggregate statistics."""
 
@@ -1076,48 +1063,24 @@ def campaign_blocks(config: CampaignConfig) -> Iterator[Block]:
 
     Blocks of `_BLOCK_SIZE` cases run in W = min(workers, blocks, usable
     CPUs) processes: this one runs blocks 0, W, 2W, ... and each of W - 1
-    helper processes sends its own stride of blocks down a pipe. The bytes
-    and stats do not depend on W. A helper blocks on its full pipe until
-    its block is read, so memory does not grow with the trials.
+    helper processes sends its own stride of blocks through
+    `fanout.fan_out`. The bytes and stats do not depend on W.
     """
     config.validate()
     starts = range(0, config.trials, _BLOCK_SIZE)
     processes = min(config.workers, len(starts), _usable_cpus())
-    if processes > 1:
-        # Imported only here: it takes ~10 ms, which every other command and
-        # every one-process campaign would pay on import.
-        import multiprocessing
-    helpers = []
-    try:
-        for k in range(1, processes):
-            reader, writer = multiprocessing.Pipe(duplex=False)
-            helper = multiprocessing.Process(
-                target=_helper, args=(reader, writer, config, k, processes), daemon=True
-            )
-            helper.start()
-            helpers.append((helper, reader))
-            # Only the helper may hold the writing end, so its exit ends the pipe.
-            writer.close()
-        for i, lo in enumerate(starts):
-            if i % processes == 0:
-                yield _run_block(config, lo)
-                continue
-            helper, reader = helpers[i % processes - 1]
-            try:
-                block = reader.recv()
-            except EOFError:
-                helper.join()
-                raise OSError(
-                    f"helper process exited with code {helper.exitcode} before sending case {lo}"
-                ) from None
-            if isinstance(block, Exception):
-                raise block
-            yield block
-    finally:
-        for helper, reader in helpers:
-            helper.terminate()
-            helper.join()
-            reader.close()
+    run = partial(_run_block, config)
+    if processes < 2:
+        # No helper: a one-process campaign leaves allz.fanout unloaded.
+        yield from map(run, starts)
+        return
+    from .fanout import fan_out
+
+    yield from fan_out(
+        map(run, starts[::processes]),
+        [(map, run, starts[k::processes]) for k in range(1, processes)],
+        lambda i: f"case {starts[i]}" if i < len(starts) else "its end",
+    )
 
 
 def run_campaign(config: CampaignConfig) -> CampaignResult:

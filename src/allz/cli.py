@@ -22,7 +22,7 @@ import operator
 import os
 import stat
 import sys
-from typing import Any, BinaryIO, Iterable, Sequence
+from typing import Any, BinaryIO, Sequence
 
 from .campaign import (
     BASE_MODES,
@@ -36,9 +36,7 @@ from .campaign import (
     TrialRecord,
     campaign_blocks,
     case_seed,
-    decode_chunk,
     merge_stats,
-    read_chunks,
     run_strategy,
     sample_base,
     # Unused here, but kept: tests import them and perfbench/child.py patches them on allz.cli.
@@ -64,9 +62,13 @@ class _StdoutFailed(Exception):
 
 def _emit(*lines: str) -> None:
     """Write each line, with its line end, to standard output; with no line,
-    flush it. Every command's output and the final flush go through here,
-    so a failure to write reaches `main` as one `_StdoutFailed`."""
+    flush it. Every command's output, the help text and the final flush go
+    through here, so a failure to write reaches `main` as one
+    `_StdoutFailed`. With fd 1 closed the interpreter has no standard
+    output (None), and writing to it fails as a closed descriptor does."""
     try:
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         if lines:
             sys.stdout.write("".join(line + "\n" for line in lines))
         else:
@@ -80,11 +82,12 @@ def _stdout_failed(exc: OSError) -> int:
     has gone (EPIPE), with one line on standard error otherwise."""
     # The interpreter flushes standard output once more at exit. Pointed at
     # the null device, as the docs on SIGPIPE advise, that flush cannot fail.
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    try:
-        os.dup2(devnull, sys.stdout.fileno())
-    finally:
-        os.close(devnull)
+    if sys.stdout is not None:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
     if not isinstance(exc, BrokenPipeError):
         print(f"error: cannot write standard output: {exc}", file=sys.stderr)
     return EXIT_IO_ERROR
@@ -123,8 +126,19 @@ def _rate(numerator: int, denominator: int) -> str:
     return f"{numerator}/{denominator} ({_fixed6_ratio(numerator, denominator)})"
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, its subcommands' included, whose help always goes
+    to standard output through `_emit`: argparse's own writer drops a failed
+    write, which would read as success. The help is flushed at once, as
+    argparse exits right after it, before `main` can flush."""
+
+    def print_help(self, file=None) -> None:
+        _emit(self.format_help().removesuffix("\n"))
+        _emit()
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="allz",
         description="Factor semiprimes from a known multiplicative order via "
         "generalized period decomposition, and benchmark the strategies at scale.",
@@ -407,38 +421,25 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _MalformedLine(Exception):
-    def __init__(self, path: str, lineno: int) -> None:
-        super().__init__(f"{path}:{lineno}: malformed record line")
-        self.path = path
-        self.lineno = lineno
-
-
 # A failure row: what `failure_cases` lists, led by its sort key. Read by
 # field index, which costs less than the named tuple's attribute lookups.
 _FAILURE_ROW_FIELDS = ("digits", "n", "a", "case_id", "r", "failed_z", "fallback_tried")
 _failure_row = operator.itemgetter(*map(TrialRecord._fields.index, _FAILURE_ROW_FIELDS))
 
 
-def _fold_inputs(paths: Iterable[str]) -> tuple[CampaignStats, list[tuple]]:
+def _fold_inputs(paths: Sequence[str]) -> tuple[CampaignStats, list[tuple]]:
     """The stats of every record in the files, and their failure rows sorted.
 
     Each chunk of lines is decoded, tallied and dropped as it is read, so
     only the failure rows grow with the input.
     """
+    from .fanout import decode_inputs  # only `report` compiles it
+
     tally = RecordTally()
     failures = []
-    for path in paths:
-        with open(path, "rb") as handle:
-            lineno = 1  # of the chunk's first line
-            for chunk in read_chunks(handle):
-                try:
-                    records = decode_chunk(chunk)
-                except BadLine as exc:
-                    raise _MalformedLine(path, lineno + exc.index) from exc.__cause__
-                lineno += len(records)
-                tally.add(records)
-                failures += [_failure_row(r) for r in records if r.status == "failure"]
+    for records in decode_inputs(paths):
+        tally.add(records)
+        failures += [_failure_row(r) for r in records if r.status == "failure"]
     failures.sort(key=operator.itemgetter(0, 1, 2, 3))
     return tally.stats(), failures
 
@@ -538,8 +539,8 @@ def _write_failure_csv(failures: list[tuple], handle) -> None:
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         stats, failures = _fold_inputs(args.inputs)
-    except _MalformedLine as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except BadLine as exc:
+        print(f"error: {exc.path}:{exc.index + 1}: malformed record line", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
@@ -602,8 +603,8 @@ def _cmd_verify_paper() -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = _run_command(args)
         _emit()
     except _StdoutFailed as failed:

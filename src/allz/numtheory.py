@@ -139,7 +139,7 @@ def _prime_flags(lo: int, hi: int) -> bytearray:
         raise ValueError(f"no prime sieve of [{lo}, {hi}): the tables stop at 10**6")
     flags = bytearray(hi - lo)
     odd = lo | 1
-    entries = _odd_factor_table()[odd >> 1 : (hi + 1) >> 1]
+    entries = _odd_factor_table()[odd >> 1 : hi >> 1]
     flags[odd - lo :: 2] = entries.translate(_PRIME_ENTRY_FLAGS)
     return flags
 

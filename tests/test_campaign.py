@@ -14,7 +14,7 @@ from conftest import semiprimes_below
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from allz import campaign, cli, numtheory
+from allz import campaign, cli, fanout, numtheory
 from allz.campaign import (
     BOUND_CLASSES,
     GOLDEN,
@@ -754,6 +754,25 @@ class TestCampaign:
         assert multiprocessing.active_children() == []
         assert capfd.readouterr() == ("", "")  # helpers print no traceback
 
+    def test_helper_that_dies_after_its_last_block_raises_oserror(self, monkeypatch, capfd):
+        # Three blocks on two processes: the helper's turn comes once more,
+        # for the end it never sends.
+        def dying(reader, writer, produce, *args):
+            reader.close()
+            for item in produce(*args):
+                writer.send(item)
+            os._exit(5)
+
+        monkeypatch.setattr(fanout, "_helper", dying)
+        monkeypatch.setattr(campaign, "_usable_cpus", lambda: 2)
+        blocks = campaign_blocks(CampaignConfig(digits=4, trials=600, workers=2))
+        assert len([next(blocks) for _ in range(3)]) == 3
+        with pytest.raises(OSError) as info:
+            next(blocks)
+        assert str(info.value) == "helper process exited with code 5 before sending its end"
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr() == ("", "")
+
     def test_helper_stops_quietly_once_its_reader_is_gone(self):
         # The helper closes the reading end it is handed, here the only one,
         # so its first send past the pipe's buffer fails and it stops.
@@ -761,7 +780,8 @@ class TestCampaign:
         signals = (signal.SIGINT, signal.SIGHUP, signal.SIGTERM)
         handlers = [signal.getsignal(signum) for signum in signals]
         try:
-            campaign._helper(reader, writer, CampaignConfig(digits=4, trials=300), 0, 1)
+            config = CampaignConfig(digits=4, trials=300)
+            fanout._helper(reader, writer, campaign_blocks, config)
         finally:
             # _helper sets these from here on.
             for signum, handler in zip(signals, handlers):
@@ -774,9 +794,8 @@ class TestCampaign:
         # than the pipe holds, so the helper is still running when signalled.
         config = CampaignConfig(digits=7, trials=6 * campaign._BLOCK_SIZE)
         reader, writer = multiprocessing.Pipe(duplex=False)
-        helper = multiprocessing.Process(
-            target=campaign._helper, args=(reader, writer, config, 1, 2)
-        )
+        blocks = (map, functools.partial(campaign._run_block, config), range(256, 1536, 512))
+        helper = multiprocessing.Process(target=fanout._helper, args=(reader, writer, *blocks))
         helper.start()
         writer.close()
         try:

@@ -1,7 +1,9 @@
 """End-to-end CLI tests: exit codes, wire formats, and report artifacts."""
 
+import argparse
 import contextlib
 import csv
+import itertools
 import json
 import multiprocessing
 import os
@@ -15,7 +17,8 @@ from fractions import Fraction
 import pytest
 
 import allz
-from allz import campaign
+import allz.cli
+from allz import campaign, fanout
 from allz.campaign import (
     CampaignConfig,
     TrialRecord,
@@ -139,8 +142,8 @@ class TestInputBoundary:
 def test_import_builds_no_class_sieve():
     # Every CLI call pays the import; a prime class's sieve waits for its
     # first draw, and the odd factor table for its first lookup. Only a
-    # campaign with helper processes imports multiprocessing, and only a
-    # CSV report csv.
+    # campaign with helper processes imports multiprocessing, only a
+    # report or such a campaign allz.fanout, and only a CSV report csv.
     # No command loads dataclasses (with inspect) or fractions (with
     # decimal): `cochran_sample_size` imports fractions on its first call.
     # Run without `site`, so that only what the import itself loads is in
@@ -149,7 +152,8 @@ def test_import_builds_no_class_sieve():
         "import sys, allz.cli; print(allz.campaign._prime_draw_params.cache_info().currsize,"
         " allz.numtheory._odd_factor_table.cache_info().currsize,"
         " *(m in sys.modules for m in"
-        " ('multiprocessing', 'csv', 'dataclasses', 'inspect', 'fractions', 'decimal')));"
+        " ('multiprocessing', 'allz.fanout', 'csv', 'dataclasses', 'inspect', 'fractions',"
+        " 'decimal')));"
         " print(allz.campaign.cochran_sample_size(0.5, 0.01, 1.96) == 9604"
         " and 'fractions' in sys.modules)"
     )
@@ -162,7 +166,7 @@ def test_import_builds_no_class_sieve():
     )
     assert (proc.returncode, proc.stdout) == (
         0,
-        "0 0 False False False False False False\nTrue\n",
+        "0 0 False False False False False False False\nTrue\n",
     ), proc.stderr
 
 
@@ -482,20 +486,52 @@ class TestCampaignCommand:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc")
     @pytest.mark.parametrize(
-        "signum", [signal.SIGTERM, signal.SIGHUP, signal.SIGKILL], ids=lambda s: s.name
+        ("command", "signum"),
+        [
+            *(
+                pytest.param("campaign", signum, id=signum.name)
+                for signum in (signal.SIGTERM, signal.SIGHUP, signal.SIGKILL)
+            ),
+            *(
+                pytest.param("report", signum, id=f"report-{signum.name}")
+                for signum in (signal.SIGTERM, signal.SIGKILL)
+            ),
+        ],
     )
-    def test_signal_to_the_main_process_leaves_no_helper(self, tmp_path, signum):
+    def test_signal_to_the_main_process_leaves_no_helper(
+        self, tmp_path, report_lines, command, signum
+    ):
         # Only the main process is signalled, as `kill` or a runner's timeout
-        # does. SIGTERM and SIGHUP take the Ctrl-C path; after SIGKILL the
-        # helper's next send fails, since it holds no reading end of its pipe.
-        out_path = tmp_path / "r.jsonl"
-        code = (
-            "import sys\n"
-            "from allz import campaign, cli\n"
-            "campaign._usable_cpus = lambda: 2\n"
-            "sys.exit(cli.main(['campaign', '--digits', '8', '--trials', '3000000',"
-            f" '--workers', '2', '--out', {str(out_path)!r}]))\n"
-        )
+        # does. A campaign's SIGTERM and SIGHUP take the Ctrl-C path; a
+        # report has no handler. Once the main process is gone, the helper's
+        # next send fails, since it holds no reading end of its pipe.
+        if command == "campaign":
+            out_path = tmp_path / "r.jsonl"
+            code = (
+                "import sys\n"
+                "from allz import campaign, cli\n"
+                "campaign._usable_cpus = lambda: 2\n"
+                "sys.exit(cli.main(['campaign', '--digits', '8', '--trials', '3000000',"
+                f" '--workers', '2', '--out', {str(out_path)!r}]))\n"
+            )
+        else:
+            src = tmp_path / "in" / "r.jsonl"
+            src.parent.mkdir()
+            write_lines(src, lines_of_size(report_lines, 4 * MIB))
+            # This process takes in a chunk in 0.1 s, so the helper, which
+            # parses it faster, is soon waiting on its full pipe. With
+            # multiprocessing loaded, 4 MiB take a helper.
+            code = (
+                "import multiprocessing, sys, time\n"
+                "from allz import campaign, cli\n"
+                "campaign._usable_cpus = lambda: 2\n"
+                "add = campaign.RecordTally.add\n"
+                "def slow_add(tally, records):\n"
+                "    time.sleep(0.1)\n"
+                "    add(tally, records)\n"
+                "campaign.RecordTally.add = slow_add\n"
+                f"sys.exit(cli.main(['report', '--in', {str(src)!r}]))\n"
+            )
         proc = subprocess.Popen(
             [sys.executable, "-c", code],
             stdout=subprocess.PIPE,
@@ -507,21 +543,27 @@ class TestCampaignCommand:
         children = f"/proc/{proc.pid}/task/{proc.pid}/children"
         helpers = []
         try:
-            # Once the helper runs and the first block is in the temporary file.
+            # Once the helper runs, and a campaign's first block is in the
+            # temporary file; a report's helper gets half a second.
             deadline = time.monotonic() + 60
-            while not helpers or not any(p.stat().st_size for p in tmp_path.iterdir()):
+            while not helpers or (
+                command == "campaign" and not any(p.stat().st_size for p in tmp_path.iterdir())
+            ):
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.05)
                 with open(children, encoding="ascii") as handle:
                     helpers = [int(pid) for pid in handle.read().split()]
+            if command == "report":
+                time.sleep(0.5)
+                assert proc.poll() is None
             os.kill(proc.pid, signum)
             out, err = proc.communicate(timeout=60)
             deadline = time.monotonic() + 30
             while left := [pid for pid in helpers if _is_running(pid)]:
-                assert time.monotonic() < deadline, f"helpers {left} outlived the campaign"
+                assert time.monotonic() < deadline, f"helpers {left} outlived the {command}"
                 time.sleep(0.05)
         finally:
-            # Whatever happened above, leave no process of the campaign behind.
+            # Whatever happened above, leave no process of the command behind.
             for pid in helpers:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(pid, signal.SIGKILL)
@@ -529,8 +571,8 @@ class TestCampaignCommand:
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
         assert len(helpers) == 1
-        if signum == signal.SIGKILL:
-            assert proc.returncode == -signal.SIGKILL
+        if signum == signal.SIGKILL or command == "report":
+            assert (proc.returncode, out, err) == (-signum, "", "")
             return
         name = signal.Signals(signum).name
         assert (proc.returncode, out) == (128 + signum, "")
@@ -1031,6 +1073,205 @@ class TestReportCommand:
         assert code == 3
 
 
+MIB = 1 << 20
+assert (fanout._PARSE_HELPER_BYTES, fanout._PARSE_HELPER_BYTES_COLD) == (MIB, 16 * MIB)
+
+
+@pytest.fixture(scope="module")
+def report_lines():
+    """Record lines of every strategy, both base modes and retries, failures included."""
+    return [
+        record_json_line(record).encode()
+        for config in (
+            CampaignConfig(digits=4, trials=300, master_seed=5),
+            CampaignConfig(digits=5, trials=300, strategy="traditional", retry_limit=1),
+            CampaignConfig(digits=6, trials=300, strategy="dong2023", base_mode="perfect_square"),
+        )
+        for record in run_campaign(config).records
+    ]
+
+
+def lines_of_size(lines, size):
+    """`lines` over and over, as many as fit in `size` bytes with their line ends."""
+    out, total = [], 0
+    for line in itertools.cycle(lines):
+        if total + len(line) + 1 > size:
+            return out
+        out.append(line)
+        total += len(line) + 1
+
+
+def write_lines(path, lines):
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    return str(path)
+
+
+class TestTwoProcessReport:
+    """Inputs of more than 1 MiB are parsed in a helper process, with two
+    usable CPUs and `multiprocessing` loaded, as it is here; this process
+    checks, tallies and orders the records, and the report is the one a
+    single process makes."""
+
+    @staticmethod
+    def report(capsys, monkeypatch, cpus, *argv):
+        """Exit code, stdout, stderr and helpers started of `allz report`
+        with `cpus` usable CPUs."""
+        started = []
+
+        class CountedProcess(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(multiprocessing, "Process", CountedProcess)
+        monkeypatch.setattr(campaign, "_usable_cpus", lambda: cpus)
+        code, out, err = run_cli(capsys, "report", *argv)
+        assert multiprocessing.active_children() == []
+        return code, out, err, len(started)
+
+    @pytest.mark.parametrize(("size", "helpers"), [(MIB, 0), (4 * MIB, 1)], ids=["1 MiB", "4 MiB"])
+    def test_same_bytes_at_one_and_two_processes(
+        self, capsys, monkeypatch, tmp_path, report_lines, size, helpers
+    ):
+        lines = lines_of_size(report_lines, size)
+        cuts = (0, len(lines) // 3, 2 * len(lines) // 3, len(lines))
+        paths = [
+            write_lines(tmp_path / f"part{i}.jsonl", lines[lo:hi])
+            for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+        ]
+        assert size - 500 < sum(map(os.path.getsize, paths)) <= size
+        outputs = {}
+        for cpus, fmt in itertools.product((1, 2), ("json", "csv")):
+            out = tmp_path / f"report-{cpus}.{fmt}"
+            argv = ("--in", *paths, "--format", fmt, "--out", str(out))
+            code, stdout, err, started = self.report(capsys, monkeypatch, cpus, *argv)
+            assert (code, err, started) == (0, "", helpers if cpus == 2 else 0)
+            outputs[cpus, fmt] = stdout, out.read_bytes()
+        assert outputs[1, "json"] == outputs[2, "json"]
+        assert outputs[1, "csv"] == outputs[2, "csv"]
+        assert outputs[1, "json"][0].startswith(f"report over {len(lines)} records\n")
+        assert outputs[1, "csv"][1].count(b"\n") > 100  # failure rows
+
+    @pytest.mark.parametrize("kind", ["no JSON", "refused by the load checks"])
+    def test_malformed_line_in_a_later_chunk_of_a_later_file(
+        self, capsys, monkeypatch, tmp_path, report_lines, kind
+    ):
+        first = write_lines(tmp_path / "first.jsonl", lines_of_size(report_lines, MIB))
+        lines = lines_of_size(report_lines, MIB // 2)
+        good = json.loads(lines[1199])
+        # Either a chunk the helper cannot parse whole and sends as bytes, or
+        # one it parses whole, whose row n != p * q the load checks refuse.
+        if kind == "no JSON":
+            lines[1199] = b"{not json"
+        else:
+            lines[1199] = json.dumps({**good, "n": good["n"] + 2}).encode()
+        assert len(b"\n".join(lines[:1199])) > 1 << 16  # past the first chunk
+        second = write_lines(tmp_path / "second.jsonl", lines)
+        expected = (2, "", f"error: {second}:1200: malformed record line\n")
+        assert self.report(capsys, monkeypatch, 1, "--in", first, second) == (*expected, 0)
+        assert self.report(capsys, monkeypatch, 2, "--in", first, second) == (*expected, 1)
+        # The line reader names it, with the same error, either way.
+        raised = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(campaign, "_usable_cpus", lambda: cpus)
+            with pytest.raises(campaign.BadLine) as info:
+                for _ in fanout.decode_inputs([first, second]):
+                    pass
+            raised.append((info.value.path, info.value.index, repr(info.value.__cause__)))
+        assert raised[0] == raised[1] == (second, 1199, raised[0][2])
+
+    def test_malformed_first_file_beats_a_missing_second(
+        self, capsys, monkeypatch, tmp_path, report_lines
+    ):
+        lines = lines_of_size(report_lines, 2 * MIB)
+        lines[3000] = b"{not json"
+        first = write_lines(tmp_path / "first.jsonl", lines)
+        missing = str(tmp_path / "missing.jsonl")
+        expected = (2, "", f"error: {first}:3001: malformed record line\n", 0)
+        for cpus in (1, 2):
+            assert self.report(capsys, monkeypatch, cpus, "--in", first, missing) == expected
+
+    def test_each_record_is_checked_once_in_this_process(
+        self, capsys, monkeypatch, tmp_path, report_lines
+    ):
+        # The benchmark's tracer counts the load checks in the main process only.
+        lines = lines_of_size(report_lines, 2 * MIB)
+        src = write_lines(tmp_path / "r.jsonl", lines)
+        main_pid = os.getpid()
+        decode = TrialRecord.from_json_dict
+        checked = []
+
+        def counted(data):
+            if os.getpid() == main_pid:
+                checked.append(data["case_id"])
+            return decode(data)
+
+        monkeypatch.setattr(TrialRecord, "from_json_dict", counted)
+        for cpus, helpers in ((1, 0), (2, 1)):
+            checked.clear()
+            assert self.report(capsys, monkeypatch, cpus, "--in", src)[::3] == (0, helpers)
+            assert checked == [json.loads(line)["case_id"] for line in lines]
+
+    def test_helper_killed_mid_report_exits_3_without_hanging(self, tmp_path, report_lines):
+        src = write_lines(tmp_path / "r.jsonl", lines_of_size(report_lines, 4 * MIB))
+        # With multiprocessing loaded, 4 MiB take a helper.
+        code = (
+            "import multiprocessing, os, signal, sys\n"
+            "from allz import campaign, cli, fanout\n"
+            "main_pid = os.getpid()\n"
+            "parse = fanout._parse_chunk\n"
+            "parsed = []\n"
+            "def dying(chunk):\n"
+            "    parsed.append(chunk)\n"
+            "    if os.getpid() != main_pid and len(parsed) == 6:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    return parse(chunk)\n"
+            "fanout._parse_chunk = dying\n"
+            "campaign._usable_cpus = lambda: 2\n"
+            f"sys.exit(cli.main(['report', '--in', {src!r}]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == (
+            "error: cannot read input: helper process exited with code -9"
+            " before sending input chunk 5\n"
+        )
+
+    def test_a_fresh_process_waits_for_16_mib(self, tmp_path, report_lines):
+        # One that has yet to load multiprocessing would pay its import too.
+        src = write_lines(tmp_path / "r.jsonl", lines_of_size(report_lines, 2 * MIB))
+        code = (
+            "import contextlib, io, sys\n"
+            "from allz import campaign, cli, fanout\n"
+            "campaign._usable_cpus = lambda: 2\n"
+            "started = []\n"
+            "fan_out = fanout.fan_out\n"
+            "fanout.fan_out = lambda *args: started.append(args) or fan_out(*args)\n"
+            "def report():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+            f"        assert cli.main(['report', '--in', {src!r}]) == 0\n"
+            "    return out.getvalue()\n"
+            "fresh = report()\n"
+            "print('multiprocessing' in sys.modules, len(started))\n"
+            "import multiprocessing\n"
+            "print(report() == fresh, len(started))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False 0\nTrue 1\n"), proc.stderr
+
+
 class TestVerifyPaperCommand:
     def test_all_rows_pass(self, capsys):
         code, out, _ = run_cli(capsys, "verify-paper")
@@ -1040,7 +1281,7 @@ class TestVerifyPaperCommand:
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
-@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full", "fd 1 closed"])
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1055,6 +1296,7 @@ class TestVerifyPaperCommand:
 def test_unwritable_stdout_exits_3_without_traceback(capsys, tmp_path, argv, sink, unbuffered):
     # A closed pipe exits quietly; any other write error names itself in one
     # line. Neither leaves the interpreter's own flush at exit to fail again.
+    # With fd 1 closed, the interpreter has no standard output at all.
     if sink == "/dev/full" and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     if argv[0] == "report":
@@ -1065,7 +1307,7 @@ def test_unwritable_stdout_exits_3_without_traceback(capsys, tmp_path, argv, sin
         reader, stdout = os.pipe()
         os.close(reader)
     else:
-        stdout = os.open("/dev/full", os.O_WRONLY)
+        stdout = os.open(os.devnull if sink == "fd 1 closed" else "/dev/full", os.O_WRONLY)
     env = {**os.environ, "PYTHONPATH": SRC_DIR}
     env.pop("PYTHONUNBUFFERED", None)
     flags = ["-u"] if unbuffered else []
@@ -1077,6 +1319,7 @@ def test_unwritable_stdout_exits_3_without_traceback(capsys, tmp_path, argv, sin
             text=True,
             env=env,
             timeout=60,
+            preexec_fn=(lambda: os.close(1)) if sink == "fd 1 closed" else None,
         )
     finally:
         os.close(stdout)
@@ -1085,5 +1328,48 @@ def test_unwritable_stdout_exits_3_without_traceback(capsys, tmp_path, argv, sin
     if sink == "closed pipe":
         assert proc.stderr == ""
     else:
-        no_space = "[Errno 28] No space left on device"
-        assert proc.stderr == f"error: cannot write standard output: {no_space}\n"
+        failure = "[Errno 28] No space left on device"
+        if sink == "fd 1 closed":
+            failure = "[Errno 9] Bad file descriptor"
+        assert proc.stderr == f"error: cannot write standard output: {failure}\n"
+
+
+HELP_ARGV = [["--help"], ["campaign", "--help"]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="writes to /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
+def test_help_that_cannot_be_written_exits_3(argv, unbuffered):
+    # Buffered, the help fits the buffer, so only a flush can fail.
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    env.pop("PYTHONUNBUFFERED", None)
+    flags = ["-u"] if unbuffered else []
+    with open("/dev/full", "w", encoding="ascii") as full:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "allz.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    no_space = "[Errno 28] No space left on device"
+    assert (proc.returncode, proc.stderr) == (3, f"error: cannot write standard output: {no_space}\n")
+
+
+@pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
+def test_help_prints_argparse_text_and_exits_0(capsys, monkeypatch, argv):
+    def help_text():
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    text = help_text()
+    assert text.startswith("usage: allz ") and text.endswith("\n")
+    # The text argparse's own writer prints.
+    monkeypatch.setattr(allz.cli._Parser, "print_help", argparse.ArgumentParser.print_help)
+    assert help_text() == text

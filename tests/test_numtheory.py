@@ -344,6 +344,14 @@ def test_class_sieves_are_exact(digit_count):
     assert sieve == sieve_to_1m()[lo : lo + span]
 
 
+@pytest.mark.parametrize("hi", [10**5, 10**5 + 1, 10**6 - 1, 10**6], ids=lambda hi: f"hi={hi}")
+@pytest.mark.parametrize("lo", [10**4, 10**4 + 1, 98_765], ids=lambda lo: f"lo={lo}")
+def test_prime_flags_match_is_probable_prime(lo, hi):
+    # Odd and even ends alike; an odd hi is not in the sieve of [lo, hi).
+    flags = numtheory._prime_flags(lo, hi)
+    assert flags == bytes(map(is_probable_prime, range(lo, hi)))
+
+
 def trial_division_factors(x):
     """The (prime, multiplicity) pairs of x >= 1, by dividing by every d >= 2."""
     out = []

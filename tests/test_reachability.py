@@ -23,7 +23,8 @@ SRC_DIR = os.path.dirname(os.path.dirname(allz.__file__))
 
 # Functions no command below calls, each with the reason it stays.
 ALLOWLIST = {
-    "campaign._helper": "runs in a helper process",
+    "fanout._helper": "runs in a helper process",
+    "fanout._parsed_chunks": "runs in a helper process",
     "cli.run": "the console entry; the commands run through main",
     "numtheory.Factorization.__setattr__": "a value-type guard",
     "numtheory.Factorization.__delattr__": "a value-type guard",
@@ -141,6 +142,8 @@ def commands():
         (["order", "1406371", "36"], "", 0),
         (["verify-paper"], "", 0),
         (["verify-paper"], "stdout-full", 3),
+        (["--help"], "", 0),
+        (["campaign", "--help"], "stdout-full", 3),
         # Invalid inputs.
         (["factor", "7"], "", 2),
         (["factor", "21", "--base", "22"], "", 2),
