@@ -18,7 +18,6 @@ and aggregates statistics. Determinism is the load-bearing property:
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -30,7 +29,6 @@ from operator import itemgetter
 from typing import (
     TYPE_CHECKING,
     Any,
-    BinaryIO,
     Callable,
     Iterable,
     Iterator,
@@ -384,146 +382,6 @@ def record_json_line(record: TrialRecord) -> str:
         _LITERALS[half_power_is_minus_one], attempts_used, _LITERALS[resolved],
         "null" if error is None else _quote(error),
     )
-
-
-# json.loads less its per-call type and BOM checks: the reader strips the
-# line first, and a BOM is no JSON value either way.
-_decode_json = json.JSONDecoder().raw_decode
-
-
-def record_from_json_line(line: str | bytes) -> TrialRecord:
-    """The record of one results-file line, with or without its line end.
-
-    Bytes are decoded here, so a line that is not UTF-8 fails like any
-    other malformed or blank line: with ValueError, KeyError or TypeError,
-    as `TrialRecord.from_json_dict`. The stripped line must hold exactly
-    one JSON value, as `json.loads` requires. This is the reference reader
-    of a line: `decode_chunk` reads a chunk through it whenever the chunk
-    cannot be decoded whole, and so wherever a line is bad.
-    """
-    text = (line.decode("utf-8") if isinstance(line, bytes) else line).strip()
-    data, end = _decode_json(text)
-    if end != len(text):
-        raise ValueError("results line holds more than one JSON value")
-    return TrialRecord.from_json_dict(data)
-
-
-# What a results-file line may fail with; a line nested too deeply for the
-# JSON decoder raises RecursionError.
-_LINE_ERRORS = (ValueError, KeyError, TypeError, RecursionError)
-# Bytes `read_chunks` reads at a time.
-_CHUNK_BYTES = 1 << 16
-
-
-class BadLine(ValueError):
-    """Line `index` (from 0) of a chunk, or of the file `path` when one is
-    given, is no record; the reader's error is the cause."""
-
-    def __init__(self, index: int, path: str | None = None) -> None:
-        super().__init__(f"line {index} of {'the chunk' if path is None else path} is no record")
-        self.index = index
-        self.path = path
-
-
-def read_chunks(handle: BinaryIO) -> Iterator[bytes]:
-    """A binary file's bytes in chunks of whole lines, read `_CHUNK_BYTES` at a time.
-
-    Each chunk ends just after a line end, except a last line that has
-    none; a line longer than a read spans reads until its end.
-    """
-    pending: list[bytes] = []
-    while block := handle.read(_CHUNK_BYTES):
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            pending.append(block[:cut])
-            yield b"".join(pending)
-            pending = [block[cut:]]
-        else:
-            pending.append(block)
-    if rest := b"".join(pending):
-        yield rest
-
-
-def decode_chunk(chunk: bytes) -> list[TrialRecord]:
-    r"""The records of a chunk of whole results-file lines, in line order.
-
-    A UTF-8 chunk of n lines (what follows a last line end is no line) is
-    decoded by one JSON call, as the list "[[" + line 0 + "],\n[" + ... +
-    line n - 1 + "]]": the chunk with its last line end cut off and every
-    other line end made "],\n[". That list is taken only when the chunk's
-    lines hold exactly n "[" in all, the call reads the whole text, and it
-    gives n elements, each a list of one item that
-    `TrialRecord.from_json_dict` accepts. Then each line alone would give
-    the same record:
-
-    * A "[" outside a string always opens a list, and an accepted record
-      holds at least one list, its `failed_z`, which holds ints only. The
-      outer list, its n elements and their n `failed_z` are 2n + 1 lists,
-      and the text holds 2n + 1 "[": n + 1 added and n in the lines. So
-      every "[" opens one of those lists: no list hides under an extra or
-      a duplicate key, and no "[" sits inside a string.
-    * The second "[" of the text opens element 0. Each later added "["
-      follows "],\n", and a strict decoder takes no raw line end inside a
-      string, so that "," is structural. A `failed_z` follows a ":", so
-      that "[" opens an element, and the "]" before the "," closes the
-      element before.
-    * So the n added "[" after the first open the n elements, and element
-      i is exactly "[" + line i + "]". A line is then the record's JSON
-      text between JSON whitespace, which `str.strip` removes, so
-      `record_from_json_line` reads the same object from it and builds the
-      same record.
-
-    Any other chunk, or one whose whole decode fails, is read line by line
-    by `record_from_json_line`. Its lines are split as bytes, so in a chunk
-    that is not UTF-8 only the bad line fails. On a bad line, raises `BadLine` with
-    the first bad line's index, and the line reader's error as its cause.
-    """
-    rows = _parse_chunk(chunk)
-    if rows is not None:
-        # Read at call time, so a wrapper patched onto the method sees each call.
-        decode = TrialRecord.from_json_dict
-        try:
-            return [decode(row) for row in rows]
-        except _LINE_ERRORS:
-            pass
-    return _decode_lines(chunk.split(b"\n"))
-
-
-def _parse_chunk(chunk: bytes) -> list | None:
-    """The parse half of `decode_chunk`: the JSON value of each line of the
-    chunk, read by its one JSON call, or None where its guard takes no call."""
-    try:
-        text = chunk.decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    body = text[:-1] if text.endswith("\n") else text
-    lines = body.count("\n") + 1
-    if body.count("[") != lines:
-        return None
-    whole = "[[" + body.replace("\n", "],\n[") + "]]"
-    try:
-        rows, end = _decode_json(whole)
-        # A row that is no list of one item fails to unpack; one that holds a
-        # string, `from_json_dict` refuses.
-        if end == len(whole) and len(rows) == lines:
-            return [value for (value,) in rows]
-    except _LINE_ERRORS:
-        pass
-    return None
-
-
-def _decode_lines(lines: list[bytes]) -> list[TrialRecord]:
-    """The records of a chunk's lines, read one by one; the last is dropped
-    when empty, being what follows the chunk's last line end."""
-    if not lines[-1]:
-        lines.pop()
-    records = []
-    for index, line in enumerate(lines):
-        try:
-            records.append(record_from_json_line(line))
-        except _LINE_ERRORS as exc:
-            raise BadLine(index) from exc
-    return records
 
 
 class CampaignConfig(NamedTuple):
@@ -1090,6 +948,8 @@ def run_campaign(config: CampaignConfig) -> CampaignResult:
     blocks, and rerunning the same config reproduces them exactly. Each
     block's bytes are decoded as `allz report` decodes a chunk.
     """
+    from .fanout import decode_chunk
+
     records: list[TrialRecord] = []
     stats = CampaignStats()
     for chunk, block_stats in campaign_blocks(config):

@@ -8,7 +8,8 @@ reference failure cases).
 Exit codes are uniform across subcommands: 0 success, 1 method failure or
 verification mismatch, 2 invalid input, 3 I/O or internal error (standard
 output that cannot be written included), and 128 + the signal when
-Ctrl-C, SIGTERM or SIGHUP stops a campaign: 130, 143 or 129.
+Ctrl-C, SIGTERM or SIGHUP stops a campaign (130, 143 or 129) or Ctrl-C
+stops a report (130).
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ import operator
 import os
 import stat
 import sys
-from typing import Any, BinaryIO, Sequence
+from typing import Any, BinaryIO, Iterable, Sequence
 
 from .campaign import (
     BASE_MODES,
     BOUND_CLASSES,
     STRATEGIES,
-    BadLine,
     CampaignConfig,
     CampaignStats,
     RandomStream,
@@ -427,17 +427,15 @@ _FAILURE_ROW_FIELDS = ("digits", "n", "a", "case_id", "r", "failed_z", "fallback
 _failure_row = operator.itemgetter(*map(TrialRecord._fields.index, _FAILURE_ROW_FIELDS))
 
 
-def _fold_inputs(paths: Sequence[str]) -> tuple[CampaignStats, list[tuple]]:
-    """The stats of every record in the files, and their failure rows sorted.
+def _fold_inputs(chunks: Iterable[list[TrialRecord]]) -> tuple[CampaignStats, list[tuple]]:
+    """The stats of every record in the chunks, and their failure rows sorted.
 
-    Each chunk of lines is decoded, tallied and dropped as it is read, so
-    only the failure rows grow with the input.
+    Each chunk's records are tallied and dropped as they arrive, so only
+    the failure rows grow with the input.
     """
-    from .fanout import decode_inputs  # only `report` compiles it
-
     tally = RecordTally()
     failures = []
-    for records in decode_inputs(paths):
+    for records in chunks:
         tally.add(records)
         failures += [_failure_row(r) for r in records if r.status == "failure"]
     failures.sort(key=operator.itemgetter(0, 1, 2, 3))
@@ -537,14 +535,19 @@ def _write_failure_csv(failures: list[tuple], handle) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .fanout import BadLine, decode_inputs  # only `report` compiles the reader
+
     try:
-        stats, failures = _fold_inputs(args.inputs)
+        stats, failures = _fold_inputs(decode_inputs(args.inputs))
     except BadLine as exc:
         print(f"error: {exc.path}:{exc.index + 1}: malformed record line", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
+    except KeyboardInterrupt:  # a helper is stopped as the reader closes
+        print("error: report interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     lines = _stats_summary_lines(stats, f"report over {stats.trials} records")
     table = _success_by_digits(stats)
     if table:

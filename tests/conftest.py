@@ -1,5 +1,22 @@
 """Shared test helpers."""
 
+import os
+
+import allz
+
+SRC_DIR = os.path.dirname(os.path.dirname(allz.__file__))
+
+
+def subprocess_env():
+    """The environment for a Python subprocess that imports this `allz`.
+
+    PYTHONUNBUFFERED is dropped, so standard output is buffered as in a
+    plain run whatever the calling environment sets.
+    """
+    env = {**os.environ, "PYTHONPATH": SRC_DIR}
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
 
 def semiprimes_below(limit):
     """All (n, p, q) with n = p*q < limit, p < q both prime, ascending in n."""
@@ -17,3 +34,11 @@ def semiprimes_below(limit):
                 break
             out.append((p * q, p, q))
     return sorted(out)
+
+
+def merged_then_refused(line):
+    """Four lines, made from the record line `line`, that the chunk decode's
+    guard takes whole: `line`'s record, with an extra key split over lines
+    0 and 1, is row 0 and is accepted, and row 1 is refused; the line
+    reader names line 0, which is no JSON."""
+    return [line[:-1] + b',"x":[[1', b"2]]}", b"{}],[{}", b"{}"]

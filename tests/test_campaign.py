@@ -6,12 +6,13 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 from fractions import Fraction
 
 import pytest
-from conftest import semiprimes_below
-from hypothesis import example, given, settings
+from conftest import merged_then_refused, semiprimes_below
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from allz import campaign, cli, fanout, numtheory
@@ -34,13 +35,13 @@ from allz.campaign import (
     mix64,
     mix64_batch,
     random_prime,
-    record_from_json_line,
     record_json_line,
     run_campaign,
     run_trial,
     sample_base,
     sample_semiprime,
 )
+from allz.fanout import record_from_json_line
 from allz.numtheory import Factorization, factorize, is_probable_prime, perfect_square_root
 from allz.period_oracle import PeriodRecord, carmichael_exponent, order_mod_primes
 
@@ -1171,13 +1172,13 @@ class TestCochran:
 class TestRecordSerialization:
     @pytest.mark.parametrize("size", [1, 3, 64, 1 << 16])
     def test_chunks_are_whole_lines(self, monkeypatch, tmp_path, size):
-        monkeypatch.setattr(campaign, "_CHUNK_BYTES", size)
+        monkeypatch.setattr(fanout, "_CHUNK_BYTES", size)
         long_line = b"x" * 200 + b"\r\n"  # spans reads of 64 bytes
         for data in (b"", b"\n", b"a\n\nbc\n" + long_line, b"a\nbc" + long_line + b"tail"):
             path = tmp_path / "data"
             path.write_bytes(data)
             with open(path, "rb") as handle:
-                chunks = list(campaign.read_chunks(handle))
+                chunks = list(fanout.read_chunks(handle))
             assert b"".join(chunks) == data
             assert all(chunk.endswith(b"\n") for chunk in chunks[:-1])
             assert all(chunks)
@@ -1202,8 +1203,8 @@ class TestRecordSerialization:
             assert record_from_json_line(line.encode()) == record
             assert record_from_json_line(line) == record
         lines = "\n".join(map(record_json_line, records))
-        assert campaign.decode_chunk(lines.encode()) == records
-        assert campaign.decode_chunk(lines.encode() + b"\n") == records
+        assert fanout.decode_chunk(lines.encode()) == records
+        assert fanout.decode_chunk(lines.encode() + b"\n") == records
 
     def test_line_template_on_edge_values(self):
         base = run_trial(make_case(21, 3, 7, 2), "allz")
@@ -1323,8 +1324,8 @@ def decode_line_by_line(chunk):
     for index, line in enumerate(lines):
         try:
             records.append(record_from_json_line(line))
-        except campaign._LINE_ERRORS as exc:
-            raise campaign.BadLine(index) from exc
+        except fanout._LINE_ERRORS as exc:
+            raise fanout.BadLine(index) from exc
     return records
 
 
@@ -1332,7 +1333,7 @@ def decode_outcome(decode, chunk):
     """A chunk's records, or its first bad line's index and the type of its cause."""
     try:
         return decode(chunk)
-    except campaign.BadLine as exc:
+    except fanout.BadLine as exc:
         return exc.index, type(exc.__cause__)
 
 
@@ -1355,6 +1356,24 @@ def split_in_three(line):
     [[1],[2],[3]]. They hold as many "[" as lines, but decoded as one list
     with "],\n[" between lines they give one list of one record."""
     return [b'{"failed_z":[[1', b"2", b"3]]," + line[1:]]
+
+
+# Lines made from one record line, in ways that keep a chunk's one JSON
+# call whole more often than not.
+TAKEN_PIECES = {
+    "record": lambda line: [line],
+    "no failed_z": lambda line: [re.sub(rb',"failed_z":\[[^\]]*\]', b"", line, count=1)],
+    **{
+        kind: lambda line, key=key: [line.replace(b"{", b"{" + key + b",", 1)]
+        for kind, key in EXTRA_KEYS.items()
+    },
+    "split in a key": lambda line: [b'{"failed_z":[[1', b"2]]," + line[1:]],
+    "merged then refused": merged_then_refused,
+    "join records": lambda line: [line + b"],[" + line],
+    "join ,": lambda line: [line + b"," + line],
+    "{}": lambda line: [b"{}"],
+    "{}],[{}": lambda line: [b"{}],[{}"],
+}
 
 
 class TestChunkDecode:
@@ -1380,7 +1399,40 @@ class TestChunkDecode:
             mutate_lines(lines, kind, i, j)
         chunk = b"\n".join(lines) + b"\n" * final_end
         expected = decode_outcome(decode_line_by_line, chunk)
-        assert decode_outcome(campaign.decode_chunk, chunk) == expected
+        assert decode_outcome(fanout.decode_chunk, chunk) == expected
+
+    @settings(max_examples=400, deadline=None)
+    @example(pieces=[("record", 0), ("merged then refused", 1)], at=0, final_end=True)
+    @given(
+        pieces=st.lists(
+            st.tuples(st.sampled_from(list(TAKEN_PIECES)), st.integers(0, 1 << 16)),
+            min_size=1,
+            max_size=5,
+        ),
+        at=st.integers(0, 5),
+        final_end=st.booleans(),
+    )
+    def test_a_refused_row_means_a_bad_line_in_the_chunk(self, pieces, at, final_end):
+        # Where the guard takes the chunk's JSON call, the load checks refuse
+        # a row exactly when the line reader fails on a line of the chunk,
+        # and the first it fails on is the one named.
+        pool = varied_lines()
+        lines = [out for kind, k in pieces for out in TAKEN_PIECES[kind](pool[k % len(pool)])]
+        # As many "[" as lines: an accepted record whose extra key holds the
+        # "[" missing, or a line "{}" for each "[" over.
+        missing = len(lines) - b"".join(lines).count(b"[")
+        note = pool[at % len(pool)].replace(b"{", b'{"note":"' + b"[" * missing + b'",', 1)
+        at %= len(lines) + 1
+        lines[at:at] = [note] if missing >= 0 else [b"{}"] * -missing
+        chunk = b"\n".join(lines) + b"\n" * final_end
+        rows = fanout._parse_chunk(chunk)
+        assume(rows is not None)
+        records = fanout._checked_rows(rows)
+        read = decode_outcome(lambda chunk: fanout._decode_lines(chunk.split(b"\n")), chunk)
+        assert (records is None) == (type(read) is tuple)
+        if records is not None:
+            assert records == read
+        assert decode_outcome(fanout.decode_chunk, chunk) == read
 
     def test_split_and_joined_records_are_refused(self):
         good = varied_lines()
@@ -1406,7 +1458,7 @@ class TestChunkDecode:
                 b"\n".join(lines) + b"\n",
                 b"".join(line + b"\r\n" for line in lines),
             ):
-                outcome = decode_outcome(campaign.decode_chunk, chunk)
+                outcome = decode_outcome(fanout.decode_chunk, chunk)
                 assert outcome == decode_outcome(decode_line_by_line, chunk)
                 assert outcome == bad
 
@@ -1422,8 +1474,8 @@ class TestChunkDecode:
 
         monkeypatch.setattr(TrialRecord, "from_json_dict", counted)
         # Read whole, the chunk never reaches the line reader.
-        monkeypatch.setattr(campaign, "record_from_json_line", None)
-        assert campaign.decode_chunk(chunk) == records
+        monkeypatch.setattr(fanout, "record_from_json_line", None)
+        assert fanout.decode_chunk(chunk) == records
         assert seen == [r.case_id for r in records]
 
     def test_a_mistyped_field_is_named(self):

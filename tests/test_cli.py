@@ -11,10 +11,12 @@ import signal
 import stat
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
 import pytest
+from conftest import merged_then_refused, subprocess_env
 
 import allz
 import allz.cli
@@ -23,12 +25,10 @@ from allz.campaign import (
     CampaignConfig,
     TrialRecord,
     compute_metrics,
-    record_from_json_line,
     run_campaign,
 )
 from allz.cli import _fixed6_ratio, main, record_json_line
-
-SRC_DIR = os.path.dirname(os.path.dirname(allz.__file__))
+from allz.fanout import record_from_json_line
 
 
 def _is_running(pid):
@@ -129,7 +129,7 @@ class TestInputBoundary:
             [sys.executable, "-m", "allz.cli", *argv],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            env=subprocess_env(),
             timeout=60,
         )
         assert proc.returncode == 2
@@ -161,7 +161,7 @@ def test_import_builds_no_class_sieve():
         [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        env=subprocess_env(),
         timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (
@@ -188,10 +188,39 @@ def test_pool_starts_without_building_the_odd_factor_table():
         [sys.executable, "-S", "-c", code],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        env=subprocess_env(),
         timeout=120,
     )
     assert (proc.returncode, proc.stdout) == (0, "True 0\n"), proc.stderr
+
+
+def ctrl_c(code, ready):
+    """Exit code, stdout and stderr of `python -c code` when SIGINT goes to
+    its whole process group, as Ctrl-C sends it, once `ready()` holds; no
+    process of the group may outlive it."""
+    proc = subprocess.Popen(
+        [sys.executable, "-c", code],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=subprocess_env(),
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not ready():
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        # Whatever happened above, leave no process of the command behind.
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    with pytest.raises(ProcessLookupError):  # no helper left in the group
+        os.killpg(proc.pid, 0)
+    return proc.returncode, out, err
 
 
 class TestRhoExhaustion:
@@ -438,7 +467,7 @@ class TestCampaignCommand:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            env=subprocess_env(),
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (3, "")
@@ -449,8 +478,7 @@ class TestCampaignCommand:
         assert list(tmp_path.iterdir()) == []  # no results file and no temporary file
 
     def test_ctrl_c_exits_130_and_leaves_no_file(self, tmp_path):
-        # SIGINT goes to the campaign's whole process group, as Ctrl-C sends
-        # it, once the helper's first block is in the temporary file.
+        # Once the helper's first block is in the temporary file.
         out_path = tmp_path / "r.jsonl"
         code = (
             "import sys\n"
@@ -459,30 +487,12 @@ class TestCampaignCommand:
             "sys.exit(cli.main(['campaign', '--digits', '8', '--trials', '1000000',"
             f" '--workers', '2', '--out', {str(out_path)!r}]))\n"
         )
-        proc = subprocess.Popen(
-            [sys.executable, "-c", code],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env={**os.environ, "PYTHONPATH": SRC_DIR},
-            start_new_session=True,
-        )
-        try:
-            deadline = time.monotonic() + 60
-            while not any(p.read_bytes().count(b"\n") >= 512 for p in tmp_path.iterdir()):
-                assert proc.poll() is None and time.monotonic() < deadline
-                time.sleep(0.05)
-            os.killpg(proc.pid, signal.SIGINT)
-            out, err = proc.communicate(timeout=60)
-        finally:
-            # Whatever happened above, leave no process of the campaign behind.
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-        assert (proc.returncode, out, err) == (130, "", "error: campaign interrupted\n")
+
+        def ready():
+            return any(p.read_bytes().count(b"\n") >= 512 for p in tmp_path.iterdir())
+
+        assert ctrl_c(code, ready) == (130, "", "error: campaign interrupted\n")
         assert list(tmp_path.iterdir()) == []  # no results file and no temporary file
-        with pytest.raises(ProcessLookupError):  # no helper left in the group
-            os.killpg(proc.pid, 0)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc")
     @pytest.mark.parametrize(
@@ -537,7 +547,7 @@ class TestCampaignCommand:
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            env=subprocess_env(),
             start_new_session=True,
         )
         children = f"/proc/{proc.pid}/task/{proc.pid}/children"
@@ -731,7 +741,7 @@ CHUNK_READS = ("one line", "three lines", "64 bytes")
 def set_chunk_bytes(monkeypatch, read, line):
     """Make `report` read `read` at a time; `line` is a typical record line."""
     size = {"one line": 1, "three lines": 3 * len(line), "64 bytes": 64}[read]
-    monkeypatch.setattr(campaign, "_CHUNK_BYTES", size)
+    monkeypatch.setattr(fanout, "_CHUNK_BYTES", size)
 
 
 def check_malformed_lines(capsys, tmp_path, sample_records):
@@ -1152,7 +1162,9 @@ class TestTwoProcessReport:
         assert outputs[1, "json"][0].startswith(f"report over {len(lines)} records\n")
         assert outputs[1, "csv"][1].count(b"\n") > 100  # failure rows
 
-    @pytest.mark.parametrize("kind", ["no JSON", "refused by the load checks"])
+    @pytest.mark.parametrize(
+        "kind", ["no JSON", "refused by the load checks", "refused after a merged row"]
+    )
     def test_malformed_line_in_a_later_chunk_of_a_later_file(
         self, capsys, monkeypatch, tmp_path, report_lines, kind
     ):
@@ -1160,13 +1172,19 @@ class TestTwoProcessReport:
         lines = lines_of_size(report_lines, MIB // 2)
         good = json.loads(lines[1199])
         # Either a chunk the helper cannot parse whole and sends as bytes, or
-        # one it parses whole, whose row n != p * q the load checks refuse.
+        # one it parses whole, whose row n != p * q the load checks refuse,
+        # or whose row 1 they refuse where the line reader names row 0's
+        # first line.
         if kind == "no JSON":
             lines[1199] = b"{not json"
-        else:
+        elif kind == "refused by the load checks":
             lines[1199] = json.dumps({**good, "n": good["n"] + 2}).encode()
+        else:
+            lines[1199:1200] = merged_then_refused(lines[1199])
         assert len(b"\n".join(lines[:1199])) > 1 << 16  # past the first chunk
         second = write_lines(tmp_path / "second.jsonl", lines)
+        with open(second, "rb") as handle:  # the bad lines lie in one chunk
+            assert any(b"\n".join(lines[1199:1203]) in chunk for chunk in fanout.read_chunks(handle))
         expected = (2, "", f"error: {second}:1200: malformed record line\n")
         assert self.report(capsys, monkeypatch, 1, "--in", first, second) == (*expected, 0)
         assert self.report(capsys, monkeypatch, 2, "--in", first, second) == (*expected, 1)
@@ -1174,11 +1192,41 @@ class TestTwoProcessReport:
         raised = []
         for cpus in (1, 2):
             monkeypatch.setattr(campaign, "_usable_cpus", lambda: cpus)
-            with pytest.raises(campaign.BadLine) as info:
+            with pytest.raises(fanout.BadLine) as info:
                 for _ in fanout.decode_inputs([first, second]):
                     pass
             raised.append((info.value.path, info.value.index, repr(info.value.__cause__)))
         assert raised[0] == raised[1] == (second, 1199, raised[0][2])
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="makes a FIFO")
+    def test_a_refused_row_in_a_fifo_names_the_same_line(self, tmp_path, report_lines):
+        # A FIFO takes no helper, and it cannot be read twice: a reader that
+        # opened it again would wait on it past the timeout.
+        first = write_lines(tmp_path / "first.jsonl", lines_of_size(report_lines, MIB))
+        lines = lines_of_size(report_lines, MIB // 2)
+        lines[1199:1200] = merged_then_refused(lines[1199])
+        fifo = tmp_path / "second.fifo"
+        os.mkfifo(fifo)
+        code = (
+            "import multiprocessing, sys\n"
+            "from allz import campaign, cli\n"
+            "campaign._usable_cpus = lambda: 2\n"
+            f"sys.exit(cli.main(['report', '--in', {first!r}, {str(fifo)!r}]))\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=subprocess_env(),
+        )
+        threading.Thread(target=write_lines, args=(fifo, lines), daemon=True).start()
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert (proc.returncode, out, err) == (2, "", f"error: {fifo}:1200: malformed record line\n")
 
     def test_malformed_first_file_beats_a_missing_second(
         self, capsys, monkeypatch, tmp_path, report_lines
@@ -1234,7 +1282,7 @@ class TestTwoProcessReport:
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            env=subprocess_env(),
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (3, "")
@@ -1242,6 +1290,26 @@ class TestTwoProcessReport:
             "error: cannot read input: helper process exited with code -9"
             " before sending input chunk 5\n"
         )
+
+    def test_ctrl_c_exits_130_and_leaves_no_helper(self, tmp_path, report_lines):
+        # Once this process has tallied a chunk, so the helper runs; each
+        # chunk then takes 0.1 s, so the report is still reading. With
+        # multiprocessing loaded, 4 MiB take a helper.
+        src = write_lines(tmp_path / "r.jsonl", lines_of_size(report_lines, 4 * MIB))
+        tallied = tmp_path / "tallied"
+        code = (
+            "import multiprocessing, sys, time\n"
+            "from allz import campaign, cli\n"
+            "campaign._usable_cpus = lambda: 2\n"
+            "add = campaign.RecordTally.add\n"
+            "def slow_add(tally, records):\n"
+            "    add(tally, records)\n"
+            f"    open({str(tallied)!r}, 'w').close()\n"
+            "    time.sleep(0.1)\n"
+            "campaign.RecordTally.add = slow_add\n"
+            f"sys.exit(cli.main(['report', '--in', {src!r}]))\n"
+        )
+        assert ctrl_c(code, tallied.exists) == (130, "", "error: report interrupted\n")
 
     def test_a_fresh_process_waits_for_16_mib(self, tmp_path, report_lines):
         # One that has yet to load multiprocessing would pay its import too.
@@ -1266,7 +1334,7 @@ class TestTwoProcessReport:
             [sys.executable, "-S", "-c", code],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": SRC_DIR},
+            env=subprocess_env(),
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (0, "False 0\nTrue 1\n"), proc.stderr
@@ -1308,8 +1376,6 @@ def test_unwritable_stdout_exits_3_without_traceback(capsys, tmp_path, argv, sin
         os.close(reader)
     else:
         stdout = os.open(os.devnull if sink == "fd 1 closed" else "/dev/full", os.O_WRONLY)
-    env = {**os.environ, "PYTHONPATH": SRC_DIR}
-    env.pop("PYTHONUNBUFFERED", None)
     flags = ["-u"] if unbuffered else []
     try:
         proc = subprocess.run(
@@ -1317,7 +1383,7 @@ def test_unwritable_stdout_exits_3_without_traceback(capsys, tmp_path, argv, sin
             stdout=stdout,
             stderr=subprocess.PIPE,
             text=True,
-            env=env,
+            env=subprocess_env(),
             timeout=60,
             preexec_fn=(lambda: os.close(1)) if sink == "fd 1 closed" else None,
         )
@@ -1342,8 +1408,6 @@ HELP_ARGV = [["--help"], ["campaign", "--help"]]
 @pytest.mark.parametrize("argv", HELP_ARGV, ids=" ".join)
 def test_help_that_cannot_be_written_exits_3(argv, unbuffered):
     # Buffered, the help fits the buffer, so only a flush can fail.
-    env = {**os.environ, "PYTHONPATH": SRC_DIR}
-    env.pop("PYTHONUNBUFFERED", None)
     flags = ["-u"] if unbuffered else []
     with open("/dev/full", "w", encoding="ascii") as full:
         proc = subprocess.run(
@@ -1351,7 +1415,7 @@ def test_help_that_cannot_be_written_exits_3(argv, unbuffered):
             stdout=full,
             stderr=subprocess.PIPE,
             text=True,
-            env=env,
+            env=subprocess_env(),
             timeout=60,
         )
     no_space = "[Errno 28] No space left on device"

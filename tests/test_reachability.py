@@ -16,10 +16,8 @@ import subprocess
 import sys
 
 import pytest
+from conftest import subprocess_env
 
-import allz
-
-SRC_DIR = os.path.dirname(os.path.dirname(allz.__file__))
 
 # Functions no command below calls, each with the reason it stays.
 ALLOWLIST = {
@@ -165,7 +163,7 @@ def test_every_function_no_command_calls_is_allowlisted(tmp_path):
         [sys.executable, "-c", PROBE, str(tmp_path), json.dumps(list(zip(argvs, settings)))],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": SRC_DIR},
+        env=subprocess_env(),
         timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
