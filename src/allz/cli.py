@@ -8,8 +8,7 @@ reference failure cases).
 Exit codes are uniform across subcommands: 0 success, 1 method failure or
 verification mismatch, 2 invalid input, 3 I/O or internal error (standard
 output that cannot be written included), and 128 + the signal when
-Ctrl-C, SIGTERM or SIGHUP stops a campaign (130, 143 or 129) or Ctrl-C
-stops a report (130).
+Ctrl-C, SIGTERM or SIGHUP stops a command (130, 143 or 129).
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import operator
 import os
 import stat
 import sys
-from typing import Any, BinaryIO, Iterable, Sequence
+from typing import IO, Any, ContextManager, Iterable, Iterator, Sequence
 
 from .campaign import (
     BASE_MODES,
@@ -53,7 +52,6 @@ EXIT_OK = 0
 EXIT_METHOD_FAILURE = 1
 EXIT_INVALID_INPUT = 2
 EXIT_IO_ERROR = 3
-EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class _StdoutFailed(Exception):
@@ -94,7 +92,7 @@ def _stdout_failed(exc: OSError) -> int:
 
 
 class _Stopped(BaseException):
-    """SIGTERM or SIGHUP, raised where it lands in a campaign so that it
+    """SIGTERM or SIGHUP, raised where it lands in a command so that it
     takes the Ctrl-C path; `args[0]` is the signal."""
 
 
@@ -176,7 +174,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_camp.add_argument("--out", help="JSONL output path for the trial records")
 
     p_report = sub.add_parser("report", help="aggregate JSONL result files")
-    p_report.add_argument("--in", dest="inputs", nargs="+", required=True, metavar="FILE")
+    p_report.add_argument(
+        "--in", dest="inputs", nargs="+", action="extend", required=True, metavar="FILE"
+    )
     p_report.add_argument("--format", choices=("csv", "json"), default="json")
     p_report.add_argument("--out", help="artifact output path (stdout summary always prints)")
 
@@ -317,43 +317,56 @@ def _stats_summary_lines(stats: CampaignStats, header: str) -> list[str]:
     return lines
 
 
-def _campaign_failed(partial: str | None, message: str, code: int = EXIT_IO_ERROR) -> int:
-    """Report a campaign cut short and remove its temporary results file."""
-    # Only that file: a results file from an earlier run stays as it was.
-    if partial:
-        with contextlib.suppress(OSError):
-            os.remove(partial)
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
 # Temporary names `_open_results` tries before it gives up.
 _TEMP_NAME_TRIES = 100
 
 
-def _open_results(target: str) -> tuple[BinaryIO, str | None]:
-    """The open file a campaign writes the results path `target` through,
-    links already resolved, and its path when it is a temporary file.
+def _open_results(path: str, mode: str, **text: str) -> ContextManager[IO]:
+    """A command's `--out` `path`, links resolved, opened now with `open`'s
+    `mode` ("w" or "wb") and `text` options; the block it is used in writes it.
 
-    A regular or new `target` gets a temporary file beside it,
-    `target.<pid>.tmp`, or `target.<pid>.<k>.tmp` past a stale file of
-    that name, which is left as it is. Any other existing path, a FIFO or a
-    device, is written straight into, with no temporary file (None).
+    A regular or new file is written as a temporary file beside it,
+    `path.<pid>.tmp`, or `path.<pid>.<k>.tmp` past a stale file of that
+    name, which is left as it is. The block's end renames it over `path`
+    with the permission bits of the file it replaces; an exception that
+    leaves the block removes it, so the file is whole or absent. Any other
+    existing path, a FIFO or a device, is written straight into.
     """
+    if not path:
+        # No file has the empty name; `realpath` would turn it into the
+        # working directory. The error is the one `open` raises.
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    target = os.path.realpath(path)
     try:
-        mode = os.stat(target).st_mode
+        kind = os.stat(target).st_mode
     except FileNotFoundError:
-        mode = stat.S_IFREG  # a new results file
-    if stat.S_ISDIR(mode):
+        kind = stat.S_IFREG  # a new file
+    if stat.S_ISDIR(kind):
         raise IsADirectoryError("it is a directory")
-    if not stat.S_ISREG(mode):
-        return open(target, "wb"), None
+    if not stat.S_ISREG(kind):
+        return open(target, mode, **text)
     stem = f"{target}.{os.getpid()}"
     for k in range(_TEMP_NAME_TRIES):
         partial = f"{stem}.{k}.tmp" if k else f"{stem}.tmp"
         with contextlib.suppress(FileExistsError):
-            return open(partial, "xb"), partial
+            return _renamed_over(open(partial, "x" + mode[1:], **text), partial, target)
     raise FileExistsError(f"{stem}.tmp and {_TEMP_NAME_TRIES - 1} more temporary names exist")
+
+
+@contextlib.contextmanager
+def _renamed_over(handle: IO, partial: str, target: str) -> Iterator[IO]:
+    """`handle`, on the temporary file `partial`, renamed over `target` at the end."""
+    try:
+        with handle:
+            yield handle
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(partial, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(partial, target)
+    except BaseException:
+        # Only that file: one from an earlier run stays as it was.
+        with contextlib.suppress(OSError):
+            os.remove(partial)
+        raise
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -363,55 +376,26 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     except (ValueError, TypeError, OSError, RecursionError) as exc:
         print(f"error: invalid campaign configuration: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    # The blocks go to a temporary file beside the results file, renamed over
-    # it after the last block, so a results file is whole or absent; a FIFO
-    # or a device is written straight into. The file is opened before the
-    # first case runs, so an unwritable path costs nothing.
-    partial = handle = None
+    # Opened before the first case runs, so an unwritable path costs nothing.
     try:
-        if args.out is not None:
-            if not args.out:
-                # No file has the empty name; `realpath` would turn it into
-                # the working directory. The error is the one `open` raises.
-                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
-            target = os.path.realpath(args.out)
-            handle, partial = _open_results(target)
+        results = contextlib.nullcontext() if args.out is None else _open_results(args.out, "wb")
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    # SIGTERM and SIGHUP take the Ctrl-C path while the blocks run. Imported
-    # only here, so no other command pays its import.
-    import signal
-
-    stop_signals = (signal.SIGTERM, signal.SIGHUP)
-    handlers = [signal.signal(signum, _stop) for signum in stop_signals]
     # Each block's bytes are written as the block arrives; nothing else is kept.
     stats = CampaignStats()
     try:
-        with handle or contextlib.nullcontext(), contextlib.closing(campaign_blocks(config)) as blocks:
+        with results as handle, contextlib.closing(campaign_blocks(config)) as blocks:
             for chunk, block_stats in blocks:
                 if handle is not None:
                     handle.write(chunk)
                 stats = merge_stats(stats, block_stats)
-        if partial:
-            # A rerun keeps the permission bits of the file it replaces.
-            with contextlib.suppress(FileNotFoundError):
-                os.chmod(partial, stat.S_IMODE(os.stat(target).st_mode))
-            os.replace(partial, target)
     except RuntimeError as exc:
-        return _campaign_failed(partial, f"internal sampling failure: {exc}")
+        print(f"error: internal sampling failure: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
     except OSError as exc:
-        return _campaign_failed(partial, f"campaign I/O failure: {exc}")
-    except KeyboardInterrupt:
-        return _campaign_failed(partial, "campaign interrupted", EXIT_INTERRUPTED)
-    except _Stopped as exc:
-        signum = exc.args[0]
-        return _campaign_failed(
-            partial, f"campaign stopped by {signal.Signals(signum).name}", 128 + signum
-        )
-    finally:
-        for signum, handler in zip(stop_signals, handlers):
-            signal.signal(signum, handler)
+        print(f"error: campaign I/O failure: {exc}", file=sys.stderr)
+        return EXIT_IO_ERROR
     header = (
         f"campaign: digits={config.digits} trials={config.trials} "
         f"strategy={config.strategy} base_mode={config.base_mode} "
@@ -545,9 +529,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_IO_ERROR
-    except KeyboardInterrupt:  # a helper is stopped as the reader closes
-        print("error: report interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
     lines = _stats_summary_lines(stats, f"report over {stats.trials} records")
     table = _success_by_digits(stats)
     if table:
@@ -561,7 +542,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     _emit(*lines)
     if args.out is not None:
         try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+            with _open_results(args.out, "w", encoding="utf-8", newline="\n") as handle:
                 if args.format == "csv":
                     _write_failure_csv(failures, handle)
                 else:
@@ -607,15 +588,34 @@ def _cmd_verify_paper() -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        code = _run_command(args)
-        _emit()
+        return _run_command(build_parser().parse_args(argv))
     except _StdoutFailed as failed:
         return _stdout_failed(failed.__cause__)
-    return code
 
 
 def _run_command(args: argparse.Namespace) -> int:
+    # SIGTERM and SIGHUP take the Ctrl-C path up to the final flush, and a helper
+    # stops as its reader closes. Imported only here, so module import skips it.
+    import signal
+
+    handlers = {signum: signal.signal(signum, _stop) for signum in (signal.SIGTERM, signal.SIGHUP)}
+    try:
+        code = _dispatch(args)
+        _emit()
+        return code
+    except KeyboardInterrupt:
+        stopped, how = signal.SIGINT, "interrupted"
+    except _Stopped as exc:
+        stopped = signal.Signals(exc.args[0])
+        how = f"stopped by {stopped.name}"
+    finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+    print(f"error: {args.command} {how}", file=sys.stderr)
+    return 128 + stopped
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     try:
         if args.command == "factor":
             return _cmd_factor(args)

@@ -291,7 +291,9 @@ def decode_inputs(paths: Sequence[str]) -> Iterator[list[TrialRecord]]:
     and this process runs the load checks on what it sends. Should they
     refuse a row, that chunk alone is read again from its file, and
     `decode_chunk` names its bad line. A bad line raises `BadLine` naming
-    its file and its line in that file (from 0).
+    its file and its line in that file (from 0). A chunk read again that
+    decodes, or is gone, shows the file changed between the reads, and
+    raises OSError naming it.
     """
     if _parse_in_helper(paths):
         sent = fan_out(None, [(_parsed_chunks, paths)], "input chunk {}".format)
@@ -302,9 +304,10 @@ def decode_inputs(paths: Sequence[str]) -> Iterator[list[TrialRecord]]:
         for k, payload in sent:
             if k != file:
                 file, chunks, lines = k, 0, 0
-            records = None if type(payload) is bytes else _checked_rows(payload)
+            parsed = type(payload) is not bytes
+            records = _checked_rows(payload) if parsed else None
             if records is None:
-                if type(payload) is not bytes:
+                if parsed:
                     # Only a regular file comes through the helper, so it can be read twice.
                     with open(paths[k], "rb") as handle:
                         payload = next(islice(read_chunks(handle), chunks, None), b"")
@@ -312,6 +315,8 @@ def decode_inputs(paths: Sequence[str]) -> Iterator[list[TrialRecord]]:
                     records = decode_chunk(payload)
                 except BadLine as exc:
                     raise BadLine(lines + exc.index, paths[k]) from exc.__cause__
+                if parsed:  # the same bytes would raise BadLine, as `decode_chunk` shows
+                    raise OSError(f"{paths[k]} changed while it was read")
             chunks += 1
             lines += len(records)
             yield records

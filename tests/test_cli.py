@@ -194,10 +194,10 @@ def test_pool_starts_without_building_the_odd_factor_table():
     assert (proc.returncode, proc.stdout) == (0, "True 0\n"), proc.stderr
 
 
-def ctrl_c(code, ready):
-    """Exit code, stdout and stderr of `python -c code` when SIGINT goes to
-    its whole process group, as Ctrl-C sends it, once `ready()` holds; no
-    process of the group may outlive it."""
+def signal_group(code, ready, signum=signal.SIGINT):
+    """Exit code, stdout and stderr of `python -c code` when `signum` goes to
+    its whole process group, as Ctrl-C sends SIGINT and a hangup SIGHUP,
+    once `ready()` holds; no process of the group may outlive it."""
     proc = subprocess.Popen(
         [sys.executable, "-c", code],
         stdout=subprocess.PIPE,
@@ -211,7 +211,7 @@ def ctrl_c(code, ready):
         while not ready():
             assert proc.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
-        os.killpg(proc.pid, signal.SIGINT)
+        os.killpg(proc.pid, signum)
         out, err = proc.communicate(timeout=60)
     finally:
         # Whatever happened above, leave no process of the command behind.
@@ -491,7 +491,7 @@ class TestCampaignCommand:
         def ready():
             return any(p.read_bytes().count(b"\n") >= 512 for p in tmp_path.iterdir())
 
-        assert ctrl_c(code, ready) == (130, "", "error: campaign interrupted\n")
+        assert signal_group(code, ready) == (130, "", "error: campaign interrupted\n")
         assert list(tmp_path.iterdir()) == []  # no results file and no temporary file
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads /proc")
@@ -512,11 +512,11 @@ class TestCampaignCommand:
         self, tmp_path, report_lines, command, signum
     ):
         # Only the main process is signalled, as `kill` or a runner's timeout
-        # does. A campaign's SIGTERM and SIGHUP take the Ctrl-C path; a
-        # report has no handler. Once the main process is gone, the helper's
-        # next send fails, since it holds no reading end of its pipe.
+        # does. SIGTERM and SIGHUP take the Ctrl-C path. Once the main process
+        # is gone, the helper's next send fails, since it holds no reading end
+        # of its pipe.
+        out_path = tmp_path / "r.jsonl"
         if command == "campaign":
-            out_path = tmp_path / "r.jsonl"
             code = (
                 "import sys\n"
                 "from allz import campaign, cli\n"
@@ -540,7 +540,7 @@ class TestCampaignCommand:
                 "    time.sleep(0.1)\n"
                 "    add(tally, records)\n"
                 "campaign.RecordTally.add = slow_add\n"
-                f"sys.exit(cli.main(['report', '--in', {str(src)!r}]))\n"
+                f"sys.exit(cli.main(['report', '--in', {str(src)!r}, '--out', {str(out_path)!r}]))\n"
             )
         proc = subprocess.Popen(
             [sys.executable, "-c", code],
@@ -581,13 +581,14 @@ class TestCampaignCommand:
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.wait()
         assert len(helpers) == 1
-        if signum == signal.SIGKILL or command == "report":
+        if signum == signal.SIGKILL:
             assert (proc.returncode, out, err) == (-signum, "", "")
             return
         name = signal.Signals(signum).name
         assert (proc.returncode, out) == (128 + signum, "")
-        assert err == f"error: campaign stopped by {name}\n"
-        assert list(tmp_path.iterdir()) == []  # no results file and no temporary file
+        assert err == f"error: {command} stopped by {name}\n"
+        # No results file or artifact, and no temporary file.
+        assert list(tmp_path.iterdir()) == ([] if command == "campaign" else [tmp_path / "in"])
 
     def test_failed_rerun_keeps_the_earlier_results(self, capsys, monkeypatch, tmp_path):
         out_path = tmp_path / "r.jsonl"
@@ -897,6 +898,81 @@ class TestReportCommand:
         assert code == 0
         assert out_whole.read_bytes() == out_parts.read_bytes()
         assert stdout_whole.replace("2 records", "x") != ""  # summaries printed
+
+    def test_repeated_in_reads_every_input(self, capsys, tmp_path, sample_records):
+        parts = [tmp_path / "part1.jsonl", tmp_path / "part2.jsonl", tmp_path / "part3.jsonl"]
+        for part, lo, hi in zip(parts, (0, 40, 90), (40, 90, 120)):
+            write_jsonl(part, sample_records[lo:hi])
+        outputs = []
+        for groups in ([parts], [parts[:1], parts[1:]], [[part] for part in parts]):
+            out = tmp_path / f"report-{len(groups)}.json"
+            argv = [arg for group in groups for arg in ("--in", *map(str, group))]
+            code, stdout, err = run_cli(capsys, "report", *argv, "--out", str(out))
+            assert (code, err) == (0, "")
+            outputs.append((stdout, out.read_bytes()))
+        assert outputs[0][0].startswith(f"report over {len(sample_records)} records\n")
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rerun_replaces_the_artifact_keeping_its_mode(
+        self, capsys, tmp_path, sample_records, fmt
+    ):
+        src = tmp_path / "r.jsonl"
+        write_jsonl(src, sample_records)
+        out, target = tmp_path / f"link.{fmt}", tmp_path / f"report.{fmt}"
+        out.symlink_to(target)
+        argv = ("report", "--in", str(src), "--format", fmt, "--out", str(out))
+        assert run_cli(capsys, *argv)[0] == 0
+        expected = target.read_bytes()
+        for mode in (0o600, 0o444):
+            target.write_bytes(b"older report\n")
+            target.chmod(mode)
+            assert run_cli(capsys, *argv)[0] == 0
+            assert out.is_symlink() and target.read_bytes() == expected
+            assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == [out.name, "r.jsonl", target.name]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGINT, signal.SIGTERM, signal.SIGHUP], ids=lambda signum: signum.name
+    )
+    def test_signal_while_the_artifact_is_written_leaves_none(
+        self, capsys, tmp_path, sample_records, fmt, signum
+    ):
+        # The writer, slowed here, holds part of the artifact in its
+        # temporary file when the signal lands; the summary is printed by then.
+        src = tmp_path / "r.jsonl"
+        write_jsonl(src, sample_records)
+        summary = run_cli(capsys, "report", "--in", str(src))[1]
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / f"report.{fmt}"
+        writer = "_write_failure_csv" if fmt == "csv" else "_write_json_report"
+        code = (
+            "import sys, time\n"
+            "from allz import cli\n"
+            f"write = cli.{writer}\n"
+            "def slow_write(*args):\n"
+            "    write(*args)\n"
+            "    args[-1].flush()\n"
+            "    time.sleep(60)\n"
+            f"cli.{writer} = slow_write\n"
+            f"sys.exit(cli.main(['report', '--in', {str(src)!r}, '--format', {fmt!r},"
+            f" '--out', {str(out)!r}]))\n"
+        )
+
+        def written():
+            return any(p.suffix == ".tmp" and p.stat().st_size for p in work.iterdir())
+
+        how = "interrupted" if signum == signal.SIGINT else f"stopped by {signum.name}"
+        expected = (128 + signum, summary, f"error: report {how}\n")
+        assert signal_group(code, written, signum) == expected
+        assert list(work.iterdir()) == []  # no artifact and no temporary file
+        # A rerun over an earlier artifact leaves it as it was.
+        out.write_bytes(b"earlier report\n")
+        assert signal_group(code, written, signum) == expected
+        assert list(work.iterdir()) == [out]
+        assert out.read_bytes() == b"earlier report\n"
 
     def test_empty_output_path_exits_3_after_the_summary(
         self, capsys, monkeypatch, tmp_path, sample_records
@@ -1260,6 +1336,30 @@ class TestTwoProcessReport:
             assert self.report(capsys, monkeypatch, cpus, "--in", src)[::3] == (0, helpers)
             assert checked == [json.loads(line)["case_id"] for line in lines]
 
+    @pytest.mark.parametrize("change", ["rewritten", "shrunk"])
+    def test_an_input_changed_between_reads_exits_3(
+        self, capsys, monkeypatch, tmp_path, report_lines, change
+    ):
+        # The checks refuse a row of the helper's first chunk here, as they
+        # would had the file held a bad line when the helper read it; the
+        # chunk read again from the file then decodes, or is gone.
+        src = write_lines(tmp_path / "r.jsonl", lines_of_size(report_lines, 2 * MIB))
+        checked_rows = fanout._checked_rows
+        calls = []
+
+        def refused_once(rows):
+            calls.append(len(rows))
+            if len(calls) > 1:
+                return checked_rows(rows)
+            if change == "shrunk":
+                open(src, "wb").close()
+            return None
+
+        monkeypatch.setattr(fanout, "_checked_rows", refused_once)
+        expected = (3, "", f"error: cannot read input: {src} changed while it was read\n", 1)
+        assert self.report(capsys, monkeypatch, 2, "--in", src) == expected
+        assert len(calls) == (2 if change == "rewritten" else 1)
+
     def test_helper_killed_mid_report_exits_3_without_hanging(self, tmp_path, report_lines):
         src = write_lines(tmp_path / "r.jsonl", lines_of_size(report_lines, 4 * MIB))
         # With multiprocessing loaded, 4 MiB take a helper.
@@ -1309,7 +1409,7 @@ class TestTwoProcessReport:
             "campaign.RecordTally.add = slow_add\n"
             f"sys.exit(cli.main(['report', '--in', {src!r}]))\n"
         )
-        assert ctrl_c(code, tallied.exists) == (130, "", "error: report interrupted\n")
+        assert signal_group(code, tallied.exists) == (130, "", "error: report interrupted\n")
 
     def test_a_fresh_process_waits_for_16_mib(self, tmp_path, report_lines):
         # One that has yet to load multiprocessing would pay its import too.

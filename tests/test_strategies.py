@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from allz import strategies
 from allz.campaign import STRATEGIES, RandomStream, run_strategy
+from allz.fixtures import REFERENCE_FAILURE_CASES
 from allz.numtheory import Factorization, factorize, perfect_square_root
 from allz.period_oracle import PeriodRecord, multiplicative_order
 from allz.strategies import AttemptResult, FactorOutcome, all_z, dong2023, traditional_shor
@@ -506,3 +507,29 @@ class TestOneCallAttempt:
                     shapes.add(tuple(tried))
         assert {(), ("divisor",), ("divisor", "divisor"), ("fallback",)} <= shapes
         assert ("divisor", "fallback") in shapes
+
+
+def valuation(x, z):
+    """The exponent of the prime z in x >= 1."""
+    k = 0
+    while x % z == 0:
+        x //= z
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("case", REFERENCE_FAILURE_CASES, ids=lambda case: f"{case.n}-{case.a}")
+def test_reference_failures_meet_the_failure_law(case):
+    # For n = pq, the walk over the primes z of r = lcm(ord_p a, ord_q a)
+    # fails exactly when ord_p a and ord_q a hold each z to the same power:
+    # then a^(r/z) is 1 mod both primes or mod neither. Each `verify-paper`
+    # row is such a case, and its failing primes are all the primes of r.
+    entries = tuple(factorize(case.n))
+    assert len(entries) == 2 and all(e == 1 for _, e in entries)  # n = pq, p != q
+    (p, _), (q, _) = entries
+    ord_p = multiplicative_order(case.a % p, p).order
+    ord_q = multiplicative_order(case.a % q, q).order
+    assert math.lcm(ord_p, ord_q) == case.expected_r
+    r_primes = factorize(case.expected_r).distinct_primes
+    assert all(valuation(ord_p, z) == valuation(ord_q, z) for z in r_primes)
+    assert case.expected_fail_factors == r_primes
